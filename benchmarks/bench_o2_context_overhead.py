@@ -80,9 +80,9 @@ def test_o2_context_overhead(benchmark, tmp_path):
     )
 
     plain_s = _best_of(REPEATS, None)
-    ops_log = OpsLogger(tmp_path / "bench-o2-ops.jsonl")
-    correlated, _ = _serve_round(ops_log)
-    correlated_s = _best_of(REPEATS, ops_log)
+    with OpsLogger(tmp_path / "bench-o2-ops.jsonl") as ops_log:
+        correlated, _ = _serve_round(ops_log)
+        correlated_s = _best_of(REPEATS, ops_log)
 
     # Correlation must not change a single decision.
     assert correlated == baseline

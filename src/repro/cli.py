@@ -450,22 +450,37 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.checkpoint, chip=args.chip, config=_serve_config(args),
         ops_log=ops_log, drift_reference=args.drift_reference,
     )
-    stream = open(args.requests) if args.requests else sys.stdin
+    stream = open(args.requests, "rb") if args.requests else sys.stdin.buffer
+    flush_pending = False
+
+    def flush_replies() -> None:
+        nonlocal flush_pending
+        flush_pending = False
+        sys.stdout.flush()
 
     def write_reply(mapping: dict) -> None:
-        print(json.dumps(mapping), flush=True)
+        # One flush per event-loop turn: the replies a turn emits leave
+        # together, before the loop next waits for input.
+        nonlocal flush_pending
+        sys.stdout.write(json.dumps(mapping) + "\n")
+        if not flush_pending:
+            flush_pending = True
+            asyncio.get_running_loop().call_soon(flush_replies)
 
     try:
         with _obs_session(None, args.metrics, trace=False,
                           force=_ledger_requested(args)) as session:
             async def _run() -> int:
                 await server.start()
-                return await serve_jsonl(server, stream.readline, write_reply)
+                return await serve_jsonl(server, stream.read1, write_reply)
 
             submitted = asyncio.run(_run())
     finally:
+        sys.stdout.flush()
         if args.requests:
             stream.close()
+        if ops_log is not None:
+            ops_log.close()
     stats = server.stats
     print(
         f"serve: {submitted} submitted, {stats.served} served "

@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import IO, TYPE_CHECKING, Any, Mapping
 
 from repro.errors import ObsError
 
@@ -106,15 +106,24 @@ class OpsLogger:
     """Append-only JSONL writer — the sole blessed ops-log producer.
 
     One logger owns one file; every :meth:`log` call validates the
-    record against the schema and appends one line, so a crash can lose
-    at most the line being written and the log stays greppable while
-    the service runs.
+    record against the schema, appends one line to a handle opened on
+    the first record, and flushes it, so a crash can lose at most the
+    line being written and readers see each record as soon as
+    :meth:`log` returns.  :meth:`close` (or leaving a ``with`` block)
+    releases the handle; a later :meth:`log` reopens it.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.written = 0
+        self._fh: IO[str] | None = None
+
+    def __enter__(self) -> "OpsLogger":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def log(self, record: Mapping[str, Any]) -> dict[str, Any]:
         """Validate and append one record; returns the stored form.
@@ -131,10 +140,18 @@ class OpsLogger:
             line = json.dumps(stored, sort_keys=True)
         except (TypeError, ValueError) as exc:
             raise ObsError(f"ops record is not JSON-serialisable: {exc}") from exc
-        with self.path.open("a") as fh:
-            fh.write(line + "\n")
+        if self._fh is None:
+            self._fh = self.path.open("a", encoding="utf-8")
+        self._fh.write(line + "\n")
+        self._fh.flush()
         self.written += 1
         return stored
+
+    def close(self) -> None:
+        """Close the append handle (idempotent)."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 def job_record_from_event(event: "FleetEvent") -> dict[str, Any] | None:

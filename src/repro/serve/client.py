@@ -7,9 +7,10 @@ Two entry points sit on top of :class:`~repro.serve.server.PolicyServer`:
   that wants request/reply semantics without managing the lifecycle.
 * :func:`serve_jsonl` — the daemon loop behind ``repro serve``: read
   one JSON request per line, stream one JSON reply per completion.
-  Line reads go through the event loop's executor so a slow producer
-  never blocks the worker pool (the no-blocking-calls discipline RPL701
-  enforces on this package).
+  Input arrives in chunks of up to :data:`READ_CHUNK_BYTES`, each read
+  on the event loop's executor, so a slow producer never blocks the
+  worker pool (the no-blocking-calls discipline RPL701 enforces on this
+  package) and a fast one pays one thread hop per chunk, not per line.
 
 Replies stream in *completion* order; clients correlate through
 ``request_id``, which every reply echoes.
@@ -32,6 +33,9 @@ from repro.serve.protocol import (
 )
 from repro.serve.server import PolicyServer
 
+#: Bytes asked of ``read_chunk`` per executor hop in :func:`serve_jsonl`.
+READ_CHUNK_BYTES = 64 * 1024
+
 
 async def serve_once(
     server: PolicyServer, requests: Sequence[Request]
@@ -51,7 +55,7 @@ async def serve_once(
 
 async def serve_jsonl(
     server: PolicyServer,
-    read_line: Callable[[], str],
+    read_chunk: Callable[[int], bytes],
     write_reply: Callable[[dict[str, Any]], None],
 ) -> int:
     """Pump JSONL requests into a started server until EOF, then drain.
@@ -59,9 +63,14 @@ async def serve_jsonl(
     Args:
         server: A server whose :meth:`~PolicyServer.start` has already
             run (the CLI owns the lifecycle so it can report stats).
-        read_line: Blocking line reader (e.g. ``sys.stdin.readline``);
-            an empty string means EOF.  Called via the executor so the
-            event loop — and the decision path — never blocks on input.
+        read_chunk: Blocking reader called with :data:`READ_CHUNK_BYTES`
+            that returns whatever bytes are available, up to that many
+            (e.g. ``sys.stdin.buffer.read1``); ``b""`` means EOF.
+            Called via the executor so the event loop — and the decision
+            path — never blocks on input.  Lines are split on ``b"\\n"``
+            and decoded as UTF-8 one by one, so a chunk boundary may fall
+            anywhere, even inside a multi-byte character; a last line
+            without a newline is still served.
         write_reply: Sink for one reply mapping; called from the event
             loop in completion order.
 
@@ -78,47 +87,59 @@ async def serve_jsonl(
         if not future.cancelled():
             write_reply(reply_to_mapping(future.result()))
 
-    while True:
-        line = await loop.run_in_executor(None, read_line)
+    def _submit(raw: bytes) -> bool:
+        """Submit one request line; ``False`` for a blank or bad line."""
+        nonlocal submitted
+        line = raw.strip()
         if not line:
-            break
-        line = line.strip()
-        if not line:
-            continue
+            return False
+        data = None
         try:
-            data = json.loads(line)
+            data = json.loads(line.decode("utf-8"))
             if not isinstance(data, dict):
                 raise ServeError("a request line must be a JSON object")
             request = request_from_mapping(data, server.chip)
-        except (json.JSONDecodeError, ReproError) as exc:
-            request_id = trace_id = ""
-            if isinstance(data := _maybe_mapping(line), dict):
-                request_id = str(data.get("request_id", ""))
-                trace_id = str(data.get("trace_id", ""))
-            write_reply(
-                reply_to_mapping(
-                    Rejection(
-                        request_id=request_id,
-                        reason=REJECT_ERROR,
-                        detail=f"malformed request line: {exc}",
-                        trace_id=trace_id,
-                    )
-                )
-            )
-            continue
+        except (UnicodeDecodeError, json.JSONDecodeError, ReproError) as exc:
+            write_reply(reply_to_mapping(_malformed(data, exc)))
+            return False
         future = server.submit(request)
         submitted += 1
         in_flight.add(future)
         future.add_done_callback(_emit)
+        return True
+
+    tail = b""
+    while True:
+        chunk = await loop.run_in_executor(None, read_chunk, READ_CHUNK_BYTES)
+        if not chunk:
+            break
+        *lines, tail = (tail + chunk).split(b"\n")
+        for raw in lines:
+            if _submit(raw):
+                # One turn per request, as a read per line used to give:
+                # workers drain the queue between lines, so a burst read
+                # in one chunk does not overflow it.
+                await asyncio.sleep(0)
+    _submit(tail)
     await server.shutdown(drain=True)
     if in_flight:
         await asyncio.gather(*in_flight, return_exceptions=True)
     return submitted
 
 
-def _maybe_mapping(line: str) -> Any:
-    """Best-effort parse of a rejected line, to recover a request_id."""
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError:
-        return None
+def _malformed(data: Any, exc: Exception) -> Rejection:
+    """The ``error`` rejection for a line that is not a valid request.
+
+    ``data`` is what the line parsed to (``None`` when it is not JSON);
+    a JSON object's ``request_id``/``trace_id`` are echoed.
+    """
+    request_id = trace_id = ""
+    if isinstance(data, dict):
+        request_id = str(data.get("request_id", ""))
+        trace_id = str(data.get("trace_id", ""))
+    return Rejection(
+        request_id=request_id,
+        reason=REJECT_ERROR,
+        detail=f"malformed request line: {exc}",
+        trace_id=trace_id,
+    )

@@ -34,7 +34,7 @@ remote queue backend can ship them without new serialisation code.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, Mapping, Union
 
 from repro.errors import ServeError
@@ -48,6 +48,9 @@ REJECT_DEADLINE = "deadline"
 REJECT_SHUTDOWN = "shutdown"
 REJECT_ERROR = "error"
 
+_OBS_FIELDS = frozenset(f.name for f in fields(ClusterObservation))
+#: What ``int()``/``float()`` raise on a value that is not a number.
+_NOT_A_NUMBER = (TypeError, ValueError, OverflowError)
 _INT_OBS_FIELDS = {
     "opp_index", "n_opps", "queue_jobs", "deadline_misses", "completions"
 }
@@ -224,15 +227,15 @@ def observation_from_mapping(
     must be present.
 
     Raises:
-        ServeError: On unknown keys, a missing cluster, or missing
-            fields when no chip provides defaults.
+        ServeError: On unknown keys, a missing cluster, missing fields
+            when no chip provides defaults, or a field value that is not
+            a number.
     """
-    known = {f.name for f in fields(ClusterObservation)}
-    unknown = set(data) - known
+    unknown = data.keys() - _OBS_FIELDS
     if unknown:
         raise ServeError(
             f"unknown observation fields {sorted(unknown)}; "
-            f"known: {sorted(known)}"
+            f"known: {sorted(_OBS_FIELDS)}"
         )
     if "cluster" not in data:
         raise ServeError("an observation needs a 'cluster' name")
@@ -243,7 +246,7 @@ def observation_from_mapping(
                 f"unknown cluster {name!r}; chip has {list(chip.cluster_names)}"
             )
         cluster = chip.cluster(name)
-        base = asdict(
+        base = vars(
             initial_observation(
                 name,
                 cluster.opp_index,
@@ -254,18 +257,25 @@ def observation_from_mapping(
             )
         )
     else:
-        missing = known - set(data) - {"temp_c"}
+        missing = _OBS_FIELDS - data.keys() - {"temp_c"}
         if missing:
             raise ServeError(
                 f"observation missing fields {sorted(missing)} "
                 "(pass a chip for defaults, or send them all)"
             )
         base = {"temp_c": None}
-    merged: dict[str, Any] = {**base, **dict(data)}
-    for key, value in merged.items():
-        if key == "cluster" or value is None:
-            continue
-        merged[key] = int(value) if key in _INT_OBS_FIELDS else float(value)
+    merged: dict[str, Any] = {**base, **data}
+    try:
+        for key, value in merged.items():
+            if key == "cluster" or value is None:
+                continue
+            merged[key] = (
+                int(value) if key in _INT_OBS_FIELDS else float(value)
+            )
+    except _NOT_A_NUMBER as exc:
+        raise ServeError(
+            f"field {key!r} must be a number, got {value!r}"
+        ) from exc
     merged["cluster"] = name
     return ClusterObservation(**merged)
 
@@ -285,7 +295,12 @@ def request_from_mapping(
     request_id = str(data.get("request_id", ""))
     trace_id = str(data.get("trace_id", ""))
     deadline = data.get("deadline_s")
-    deadline_s = float(deadline) if deadline is not None else None
+    try:
+        deadline_s = float(deadline) if deadline is not None else None
+    except _NOT_A_NUMBER as exc:
+        raise ServeError(
+            f"field 'deadline_s' must be a number, got {deadline!r}"
+        ) from exc
     if deadline_s is not None and deadline_s <= 0:
         raise ServeError(f"deadline must be positive: {deadline_s}")
     if kind == "decision":
@@ -303,8 +318,12 @@ def request_from_mapping(
         payload = data.get("spec")
         if not isinstance(payload, Mapping):
             raise ServeError("a simulate request needs a 'spec' mapping")
+        try:
+            spec = JobSpec.from_mapping(payload)
+        except (TypeError, ValueError) as exc:
+            raise ServeError(f"bad simulate spec: {exc}") from exc
         return SimulationRequest(
-            spec=JobSpec.from_mapping(payload),
+            spec=spec,
             request_id=request_id,
             deadline_s=deadline_s,
             trace_id=trace_id,
@@ -319,14 +338,20 @@ def request_from_mapping(
     )
 
 
+_REPLY_KINDS: dict[type, str] = {
+    DecisionReply: "decision",
+    SimulationReply: "simulation",
+    HealthReply: "health",
+    StatsReply: "stats",
+    Rejection: "rejection",
+}
+
+
 def reply_to_mapping(reply: Reply) -> dict[str, Any]:
-    """The JSON-serialisable form of a reply, tagged with its kind."""
-    if isinstance(reply, DecisionReply):
-        return {"kind": "decision", **asdict(reply)}
-    if isinstance(reply, SimulationReply):
-        return {"kind": "simulation", **asdict(reply)}
-    if isinstance(reply, HealthReply):
-        return {"kind": "health", **asdict(reply)}
-    if isinstance(reply, StatsReply):
-        return {"kind": "stats", **asdict(reply)}
-    return {"kind": "rejection", **asdict(reply)}
+    """The JSON-serialisable form of a reply, tagged with its kind.
+
+    Keys follow the reply's field order after ``kind``.  Container
+    fields (``indicators``, ``stats``) are shared with the reply, not
+    copied.
+    """
+    return {"kind": _REPLY_KINDS[type(reply)], **vars(reply)}

@@ -610,9 +610,9 @@ class PolicyServer:
         """Append one structured ops record, when a logger is attached.
 
         A no-op without one — the record constructor never runs, so the
-        unlogged path pays a single attribute check.  The append itself
-        is a buffered line write (sub-millisecond); latency-critical
-        deployments can point the log at tmpfs.
+        unlogged path pays a single attribute check.  The append is one
+        write and flush on the logger's kept-open handle, no open or
+        close per record.
         """
         if self._ops is None:
             return

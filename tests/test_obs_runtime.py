@@ -172,9 +172,9 @@ class TestOpsRecord:
 
 class TestOpsLogger:
     def test_appends_one_sorted_json_line_per_record(self, tmp_path):
-        logger = OpsLogger(tmp_path / "ops.jsonl")
-        logger.log(ops_record("decision", "ok", 0.001, ts=1.0))
-        logger.log(ops_record("health", "ok", 0.0, ts=2.0))
+        with OpsLogger(tmp_path / "ops.jsonl") as logger:
+            logger.log(ops_record("decision", "ok", 0.001, ts=1.0))
+            logger.log(ops_record("health", "ok", 0.0, ts=2.0))
         assert logger.written == 2
         lines = (tmp_path / "ops.jsonl").read_text().splitlines()
         assert len(lines) == 2
@@ -182,10 +182,33 @@ class TestOpsLogger:
             ["decision", "health"]
         )
 
+    def test_keeps_one_handle_and_flushes_every_record(self, tmp_path):
+        path = tmp_path / "ops.jsonl"
+        with OpsLogger(path) as logger:
+            logger.log(ops_record("decision", "ok", 0.001, ts=1.0))
+            handle = logger._fh
+            # Visible to a reader before the logger closes.
+            assert len(path.read_text().splitlines()) == 1
+            logger.log(ops_record("decision", "ok", 0.002, ts=2.0))
+            assert logger._fh is handle
+            assert len(path.read_text().splitlines()) == 2
+        assert handle.closed
+        logger.close()  # idempotent
+
+    def test_log_after_close_appends(self, tmp_path):
+        path = tmp_path / "ops.jsonl"
+        logger = OpsLogger(path)
+        logger.log(ops_record("decision", "ok", 0.0, ts=1.0))
+        logger.close()
+        logger.log(ops_record("health", "ok", 0.0, ts=2.0))
+        logger.close()
+        assert [r["kind"] for r in read_ops_log(path)] == ["decision", "health"]
+        assert logger.written == 2
+
     def test_creates_parent_directories(self, tmp_path):
-        logger = OpsLogger(tmp_path / "deep" / "nested" / "ops.jsonl")
-        logger.log(ops_record("decision", "ok", 0.0, ts=0.0))
-        assert logger.path.exists()
+        with OpsLogger(tmp_path / "deep" / "nested" / "ops.jsonl") as logger:
+            logger.log(ops_record("decision", "ok", 0.0, ts=0.0))
+            assert logger.path.exists()
 
     def test_rejects_incomplete_records(self, tmp_path):
         logger = OpsLogger(tmp_path / "ops.jsonl")
@@ -611,35 +634,35 @@ class TestServerCorrelation:
         assert reply.trace_id == ""
 
     def test_ops_log_stamps_fresh_ids(self, trained, tmp_path):
-        ops_log = OpsLogger(tmp_path / "ops.jsonl")
-        server = make_server(trained, workers=1, ops_log=ops_log)
-        replies = asyncio.run(serve_once(server, [
-            DecisionRequest(observation=obs_for(server.chip),
-                            request_id=f"r{i}")
-            for i in range(3)
-        ]))
+        with OpsLogger(tmp_path / "ops.jsonl") as ops_log:
+            server = make_server(trained, workers=1, ops_log=ops_log)
+            replies = asyncio.run(serve_once(server, [
+                DecisionRequest(observation=obs_for(server.chip),
+                                request_id=f"r{i}")
+                for i in range(3)
+            ]))
         ids = [r.trace_id for r in replies]
         assert all(len(i) == 16 for i in ids)
         assert len(set(ids)) == 3
 
     def test_ops_log_records_outcomes(self, trained, tmp_path):
-        ops_log = OpsLogger(tmp_path / "ops.jsonl")
-        server = make_server(trained, workers=1, queue_size=1,
-                             ops_log=ops_log)
+        with OpsLogger(tmp_path / "ops.jsonl") as ops_log:
+            server = make_server(trained, workers=1, queue_size=1,
+                                 ops_log=ops_log)
 
-        async def run():
-            await server.start()
-            futures = [
-                server.submit(DecisionRequest(
-                    observation=obs_for(server.chip), request_id=f"r{i}"
-                ))
-                for i in range(4)
-            ]
-            replies = [await f for f in futures]
-            await server.shutdown()
-            return replies
+            async def run():
+                await server.start()
+                futures = [
+                    server.submit(DecisionRequest(
+                        observation=obs_for(server.chip), request_id=f"r{i}"
+                    ))
+                    for i in range(4)
+                ]
+                replies = [await f for f in futures]
+                await server.shutdown()
+                return replies
 
-        asyncio.run(run())
+            asyncio.run(run())
         records = read_ops_log(ops_log.path)
         outcomes = [r["outcome"] for r in records]
         assert outcomes.count("ok") == server.stats.served_decisions
@@ -730,23 +753,23 @@ class TestEndToEndCorrelation:
     def test_one_trace_id_spans_client_to_reply(self, trained, tmp_path):
         from repro.fleet.spec import JobSpec
 
-        ops_log = OpsLogger(tmp_path / "ops.jsonl")
-        server = make_server(trained, workers=1, ops_log=ops_log)
-        spec = JobSpec(
-            scenario="idle", governor="powersave", chip="tiny",
-            duration_s=1.0, seed=5, trace_dir=str(tmp_path / "jobs"),
-        )
-        requests = [
-            DecisionRequest(
-                observation=obs_for(server.chip), request_id="d1",
-                trace_id=self.DECISION_ID,
-            ),
-            SimulationRequest(
-                spec=spec, request_id="s1", trace_id=self.SIM_ID
-            ),
-        ]
-        with obs.capture() as session:
-            replies = asyncio.run(serve_once(server, requests))
+        with OpsLogger(tmp_path / "ops.jsonl") as ops_log:
+            server = make_server(trained, workers=1, ops_log=ops_log)
+            spec = JobSpec(
+                scenario="idle", governor="powersave", chip="tiny",
+                duration_s=1.0, seed=5, trace_dir=str(tmp_path / "jobs"),
+            )
+            requests = [
+                DecisionRequest(
+                    observation=obs_for(server.chip), request_id="d1",
+                    trace_id=self.DECISION_ID,
+                ),
+                SimulationRequest(
+                    spec=spec, request_id="s1", trace_id=self.SIM_ID
+                ),
+            ]
+            with obs.capture() as session:
+                replies = asyncio.run(serve_once(server, requests))
 
         assert replies[0].trace_id == self.DECISION_ID
         assert replies[1].trace_id == self.SIM_ID
@@ -813,12 +836,12 @@ class TestEndToEndCorrelation:
     def test_run_fleet_logs_one_record_per_job(self, tmp_path):
         from repro.fleet import FleetSpec, run_fleet
 
-        ops_log = OpsLogger(tmp_path / "fleet-ops.jsonl")
-        spec = FleetSpec(
-            scenarios=("idle",), governors=("performance", "powersave"),
-            seeds=(100,), chips=("tiny",), duration_s=1.0,
-        )
-        result = run_fleet(spec, jobs=1, ops_log=ops_log)
+        with OpsLogger(tmp_path / "fleet-ops.jsonl") as ops_log:
+            spec = FleetSpec(
+                scenarios=("idle",), governors=("performance", "powersave"),
+                seeds=(100,), chips=("tiny",), duration_s=1.0,
+            )
+            result = run_fleet(spec, jobs=1, ops_log=ops_log)
         assert len(result.successes) == 2
         records = read_ops_log(ops_log.path)
         assert len(records) == 2

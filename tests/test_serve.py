@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any
+import os
+import subprocess
+import sys
+import threading
+from dataclasses import asdict
+from pathlib import Path
+from typing import Any, Callable
 
 import pytest
 
@@ -20,6 +26,7 @@ from repro.serve import (
     REJECT_SHUTDOWN,
     DecisionReply,
     DecisionRequest,
+    HealthReply,
     InProcessQueue,
     PolicyServer,
     QueueBackend,
@@ -27,9 +34,11 @@ from repro.serve import (
     ServeConfig,
     SimulationReply,
     SimulationRequest,
+    StatsReply,
     observation_from_mapping,
     reply_to_mapping,
     request_from_mapping,
+    serve_jsonl,
     serve_once,
 )
 from repro.soc.presets import tiny_test_chip
@@ -128,6 +137,43 @@ class TestProtocol:
                  "deadline_s": -1},
                 chip,
             )
+
+    @pytest.mark.parametrize("field,value", [
+        ("deadline_s", "soon"),
+        ("utilization", "high"),
+        ("utilization", [1]),
+        ("opp_index", float("inf")),
+    ])
+    def test_non_numeric_field_value_is_a_serve_error(self, field, value):
+        chip = tiny_test_chip()
+        data: dict[str, Any] = {"observation": {"cluster": "cpu"}}
+        if field == "deadline_s":
+            data[field] = value
+        else:
+            data["observation"][field] = value
+        with pytest.raises(ServeError, match=f"'{field}' must be a number"):
+            request_from_mapping(data, chip)
+
+    def test_bad_simulate_spec_value_is_a_serve_error(self):
+        with pytest.raises(ServeError, match="bad simulate spec"):
+            request_from_mapping({
+                "kind": "simulate",
+                "spec": {"scenario": "idle", "governor": "ondemand",
+                         "duration_s": "long"},
+            })
+
+    def test_reply_mapping_keeps_dataclass_field_order(self):
+        replies = [
+            DecisionReply("r1", "cpu", 2, 1e-4, "t1"),
+            SimulationReply("r2", "job", 1.0, 0.9, 0.1, 1.1, 2e-3),
+            HealthReply("r3", "ok", 0, 2, 5, 1, {"p99_s": None}),
+            StatsReply("r4", {"served": 3}),
+            Rejection("r5", REJECT_OVERLOADED, "full", "t5"),
+        ]
+        kinds = ["decision", "simulation", "health", "stats", "rejection"]
+        for reply, kind in zip(replies, kinds):
+            expected = {"kind": kind, **asdict(reply)}
+            assert json.dumps(reply_to_mapping(reply)) == json.dumps(expected)
 
     def test_reply_mappings_are_json_round_trippable(self):
         replies = [
@@ -498,6 +544,116 @@ class TestEngineVersionGate:
 
 
 # ---------------------------------------------------------------------------
+# JSONL loop: chunked reads
+# ---------------------------------------------------------------------------
+
+
+def scripted_reader(chunks: list[bytes]) -> Callable[[int], bytes]:
+    """A chunk reader that returns ``chunks`` one per call, then EOF."""
+    pending = iter(chunks)
+
+    def read(size: int) -> bytes:
+        chunk = next(pending, b"")
+        assert len(chunk) <= size
+        return chunk
+
+    return read
+
+
+def run_jsonl(trained, chunks: list[bytes]) -> list[dict[str, Any]]:
+    """The replies ``serve_jsonl`` writes for ``chunks``, ordered by
+    request id, each with the session its ops record names.  Timing and
+    the trace id the server stamps (both differ run to run) are
+    dropped."""
+    _, policies = trained
+    records: list[dict[str, Any]] = []
+    replies: list[dict[str, Any]] = []
+
+    class RecordingLog:
+        def log(self, record: dict[str, Any]) -> None:
+            records.append(record)
+
+    server = PolicyServer(policies, tiny_test_chip(), ops_log=RecordingLog())
+
+    async def run() -> None:
+        await server.start()
+        await serve_jsonl(server, scripted_reader(chunks), replies.append)
+
+    asyncio.run(run())
+    sessions = {r["request_id"]: r.get("session") for r in records}
+    for reply in replies:
+        reply.pop("latency_s", None)
+        reply.pop("trace_id")
+        reply["session"] = sessions.get(reply["request_id"])
+    return sorted(replies, key=lambda r: r["request_id"])
+
+
+class TestJsonlChunks:
+    SESSION = "caf\u00e9-\u2603"  # two- and three-byte UTF-8 characters
+
+    def payload(self, newline: bytes = b"\n") -> bytes:
+        lines = []
+        for i in range(6):
+            lines.append(json.dumps({
+                "kind": "decision", "request_id": f"r{i}",
+                "session": self.SESSION if i % 2 else "plain",
+                "observation": {"cluster": "cpu", "utilization": i / 6},
+            }, ensure_ascii=False).encode())
+            if i == 2:
+                lines.append(b"")  # a blank line between requests
+        lines.append(b"   ")  # and a whitespace-only one
+        return newline.join(lines) + newline
+
+    def per_line(self, trained, payload: bytes) -> list[dict[str, Any]]:
+        return run_jsonl(trained, payload.splitlines(keepends=True))
+
+    def test_request_split_across_two_reads(self, trained):
+        payload = self.payload()
+        cut = payload.index(b'"observation"', payload.index(b"r3"))
+        replies = run_jsonl(trained, [payload[:cut], payload[cut:]])
+        assert [r["request_id"] for r in replies] == [f"r{i}" for i in range(6)]
+        assert replies == self.per_line(trained, payload)
+
+    def test_multibyte_session_straddles_a_chunk_boundary(self, trained):
+        payload = self.payload()
+        expected = self.per_line(trained, payload)
+        assert expected[1]["session"] == self.SESSION
+        snowman = payload.index("\u2603".encode())
+        for cut in (snowman + 1, snowman + 2):
+            replies = run_jsonl(trained, [payload[:cut], payload[cut:]])
+            assert replies == expected
+
+    def test_last_line_without_newline(self, trained):
+        payload = self.payload().rstrip()
+        replies = run_jsonl(trained, [payload[:-7], payload[-7:]])
+        assert len(replies) == 6
+        assert replies == self.per_line(trained, self.payload())
+
+    def test_crlf_line_endings(self, trained):
+        crlf = self.payload(b"\r\n")
+        chunks = [crlf[k:k + 37] for k in range(0, len(crlf), 37)]
+        replies = run_jsonl(trained, chunks)
+        assert {r["kind"] for r in replies} == {"decision"}
+        assert replies == self.per_line(trained, self.payload())
+
+    def test_byte_at_a_time_matches_line_at_a_time(self, trained):
+        payload = self.payload()
+        chunks = [payload[k:k + 1] for k in range(len(payload))]
+        assert run_jsonl(trained, chunks) == self.per_line(trained, payload)
+
+    def test_invalid_utf8_line_rejected_and_next_served(self, trained):
+        payload = (
+            b'{"request_id": "bad\xff"}\n'
+            + json.dumps({"request_id": "good",
+                          "observation": {"cluster": "cpu"}}).encode()
+            + b"\n"
+        )
+        replies = run_jsonl(trained, [payload])
+        assert [r["kind"] for r in replies] == ["rejection", "decision"]
+        assert replies[0]["reason"] == REJECT_ERROR
+
+
+# ---------------------------------------------------------------------------
 # CLI: repro serve / repro decide
 # ---------------------------------------------------------------------------
 
@@ -579,6 +735,119 @@ class TestServeCli:
         assert replies["s-bad"]["kind"] == "rejection"
         assert "unknown job spec keys" in replies["s-bad"]["detail"]
         assert replies["d-after"]["kind"] == "decision"
+
+    def test_serve_survives_non_numeric_field_values(
+        self, checkpoint, tmp_path, capsys
+    ):
+        observation = {"cluster": tiny_test_chip().cluster_names[0]}
+        bad = [
+            {"request_id": "deadline", "deadline_s": "soon",
+             "observation": observation},
+            {"request_id": "word",
+             "observation": {**observation, "utilization": "high"}},
+            {"request_id": "list",
+             "observation": {**observation, "utilization": [1]}},
+        ]
+        good = {"request_id": "after", "observation": observation}
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            "".join(json.dumps(line) + "\n" for line in [*bad, good])
+        )
+        rc = main([
+            "serve", "--checkpoint", str(checkpoint), "--chip", "tiny",
+            "--requests", str(requests),
+        ])
+        assert rc == 0
+        replies = {
+            r["request_id"]: r
+            for r in (json.loads(line)
+                      for line in capsys.readouterr().out.splitlines() if line)
+        }
+        for line in bad:
+            reply = replies[line["request_id"]]
+            assert reply["kind"] == "rejection"
+            assert reply["reason"] == REJECT_ERROR
+            assert "must be a number" in reply["detail"]
+        assert replies["after"]["kind"] == "decision"
+
+    def serve_file(self, checkpoint, path, lines, capsys, *flags: str):
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        rc = main([
+            "serve", "--checkpoint", str(checkpoint), "--chip", "tiny",
+            "--requests", str(path), *flags,
+        ])
+        assert rc == 0
+        return [
+            json.loads(line)
+            for line in capsys.readouterr().out.splitlines() if line
+        ]
+
+    def test_simulate_stream_overflows_a_one_slot_queue(
+        self, checkpoint, tmp_path, capsys
+    ):
+        spec = sim_spec(duration_s=5.0).to_mapping()
+        lines = [
+            {"kind": "simulate", "request_id": f"s{i}",
+             "spec": {**spec, "seed": i}}
+            for i in range(40)
+        ]
+        replies = self.serve_file(
+            checkpoint, tmp_path / "sims.jsonl", lines, capsys,
+            "--workers", "1", "--queue-size", "1",
+        )
+        assert len(replies) == len(lines)
+        reasons = [r.get("reason") for r in replies if r["kind"] == "rejection"]
+        assert REJECT_OVERLOADED in reasons
+        assert any(r["kind"] == "simulation" for r in replies)
+
+    def test_decision_burst_fits_the_default_queue(
+        self, checkpoint, tmp_path, capsys
+    ):
+        cluster = tiny_test_chip().cluster_names[0]
+        lines = [
+            {"request_id": f"d{i}", "session": f"s{i % 8}",
+             "observation": {"cluster": cluster, "utilization": i % 10 / 10}}
+            for i in range(1000)
+        ]
+        replies = self.serve_file(
+            checkpoint, tmp_path / "burst.jsonl", lines, capsys
+        )
+        assert len(replies) == 1000
+        assert {r["kind"] for r in replies} == {"decision"}
+
+    def test_interactive_client_gets_reply_before_eof(self, checkpoint):
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        # A block-buffered stdout, as a pipe normally gets.
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--checkpoint",
+             str(checkpoint), "--chip", "tiny"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, env=env,
+        )
+        try:
+            line: list[bytes] = []
+            reader = threading.Thread(
+                target=lambda: line.append(proc.stdout.readline()),
+                daemon=True,
+            )
+            reader.start()
+            proc.stdin.write((json.dumps({
+                "request_id": "ping",
+                "observation": {"cluster": tiny_test_chip().cluster_names[0]},
+            }) + "\n").encode())
+            proc.stdin.flush()
+            # stdin stays open: the reply must not wait for EOF.
+            reader.join(timeout=60)
+            assert line, "no reply while the client kept stdin open"
+            reply = json.loads(line[0])
+            assert reply["request_id"] == "ping"
+            assert reply["kind"] == "decision"
+        finally:
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+            proc.stdout.close()
 
     def test_serve_writes_metrics_and_ledger(
         self, checkpoint, tmp_path, capsys

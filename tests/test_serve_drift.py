@@ -124,11 +124,11 @@ class TestDriftMonitor:
 
     def test_ops_log_gets_drift_records(self, trained, tmp_path):
         chip, policies = trained
-        ops_log = OpsLogger(tmp_path / "drift-ops.jsonl")
-        monitor = DriftMonitor(_stale_reference(chip, policies),
-                               ops_log=ops_log)
-        session = DecisionSession(policies, chip, drift=monitor)
-        _decide_n(session, chip)
+        with OpsLogger(tmp_path / "drift-ops.jsonl") as ops_log:
+            monitor = DriftMonitor(_stale_reference(chip, policies),
+                                   ops_log=ops_log)
+            session = DecisionSession(policies, chip, drift=monitor)
+            _decide_n(session, chip)
         records = [r for r in read_ops_log(ops_log.path)
                    if r["kind"] == "drift"]
         assert len(records) == N_DECISIONS
@@ -215,11 +215,11 @@ class TestDriftSlos:
 
     def test_drift_slo_burns_budget_on_disagreement(self, trained, tmp_path):
         chip, policies = trained
-        ops_log = OpsLogger(tmp_path / "ops.jsonl")
-        monitor = DriftMonitor(_stale_reference(chip, policies),
-                               ops_log=ops_log)
-        session = DecisionSession(policies, chip, drift=monitor)
-        _decide_n(session, chip)
+        with OpsLogger(tmp_path / "ops.jsonl") as ops_log:
+            monitor = DriftMonitor(_stale_reference(chip, policies),
+                                   ops_log=ops_log)
+            session = DecisionSession(policies, chip, drift=monitor)
+            _decide_n(session, chip)
         assert monitor.disagreements > 0
         slos = slos_from_mapping({"slos": [
             {"name": "drift-budget", "kind": "drift", "objective": 0.999},
