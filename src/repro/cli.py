@@ -259,6 +259,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     path = save_policies(training.policies, args.save or args.out)
     print(f"checkpoint saved to {path}")
     if recorder is not None:
+        recorder.close()
         print(
             f"learning ledger: {recorder.written} record(s) appended to "
             f"{recorder.path}"
@@ -1015,19 +1016,30 @@ def _polarity_overrides(args: argparse.Namespace) -> dict[str, str] | None:
     return overrides or None
 
 
-def _render_comparison(comparison, args: argparse.Namespace) -> None:
-    from repro import perf
+def _add_report_args(parser: argparse.ArgumentParser, warn_only: bool) -> None:
+    """``--format`` for every report command, ``--warn-only`` for gates."""
+    from repro.obs import FORMATS
 
-    if args.format == "json":
-        print(perf.render_json(comparison))
-    elif args.format == "github":
-        print(perf.render_github(comparison))
-    else:
+    parser.add_argument("--format", default="text", choices=FORMATS,
+                        help="report format (github = Actions annotations)")
+    if warn_only:
+        parser.add_argument("--warn-only", action="store_true",
+                            help="report failures but exit 0 "
+                                 "(CI bring-up mode)")
+
+
+def _run_gate(report, args: argparse.Namespace) -> int:
+    """Print a report in ``--format`` and gate it (honouring --warn-only)."""
+    from repro.obs import gate, render
+
+    print(render(report, args.format, getattr(args, "verbose", False)))
+    if report.failures and args.warn_only:
         print(
-            perf.render_text(
-                comparison, verbose=getattr(args, "verbose", False)
-            )
+            f"{report.gate_name} gate: {len(report.failures)} "
+            f"{report.failure_noun} (warn-only, not failing)",
+            file=sys.stderr,
         )
+    return gate(report, warn_only=args.warn_only).exit_code
 
 
 def _cmd_cache_list(args: argparse.Namespace) -> int:
@@ -1098,22 +1110,8 @@ def _cmd_perf_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf_compare(args: argparse.Namespace) -> int:
-    from repro import perf
-
-    baseline = perf.read_ledger(args.baseline_ref)
-    current = perf.read_ledger(perf.resolve_ledger_path(_ledger_path(args)))
-    comparison = perf.compare_records(
-        baseline, current,
-        threshold=args.threshold,
-        confidence=args.confidence,
-        polarity_overrides=_polarity_overrides(args),
-    )
-    _render_comparison(comparison, args)
-    return 0 if comparison.ok else 1
-
-
 def _cmd_perf_gate(args: argparse.Namespace) -> int:
+    """``perf gate`` and ``perf compare``: compare, print, gate."""
     from repro import perf
 
     current_path = perf.resolve_ledger_path(_ledger_path(args))
@@ -1136,15 +1134,7 @@ def _cmd_perf_gate(args: argparse.Namespace) -> int:
         confidence=args.confidence,
         polarity_overrides=_polarity_overrides(args),
     )
-    _render_comparison(comparison, args)
-    result = perf.gate(comparison, warn_only=args.warn_only)
-    if result.comparison.regressions and args.warn_only:
-        print(
-            f"perf gate: {len(result.comparison.regressions)} "
-            "regression(s) (warn-only, not failing)",
-            file=sys.stderr,
-        )
-    return result.exit_code
+    return _run_gate(comparison, args)
 
 
 def _cmd_ops_tail(args: argparse.Namespace) -> int:
@@ -1170,26 +1160,10 @@ def _cmd_ops_summary(args: argparse.Namespace) -> int:
 
 def _cmd_slo_gate(args: argparse.Namespace) -> int:
     """Evaluate SLOs over an ops log; non-zero exit on budget burn."""
-    from repro.obs import (
-        DEFAULT_SLOS,
-        SLO_RENDERERS,
-        evaluate_slos,
-        load_slo_config,
-        read_ops_log,
-        slo_gate,
-    )
+    from repro.obs import DEFAULT_SLOS, evaluate_slos, load_slo_config, read_ops_log
 
     slos = load_slo_config(args.config) if args.config else DEFAULT_SLOS
-    report = evaluate_slos(read_ops_log(args.ops_log), slos)
-    print(SLO_RENDERERS[args.format](report))
-    result = slo_gate(report, warn_only=args.warn_only)
-    if result.report.failures and args.warn_only:
-        print(
-            f"slo gate: {len(result.report.failures)} "
-            "violation(s) (warn-only, not failing)",
-            file=sys.stderr,
-        )
-    return result.exit_code
+    return _run_gate(evaluate_slos(read_ops_log(args.ops_log), slos), args)
 
 
 def _load_learn_spec(args: argparse.Namespace):
@@ -1201,48 +1175,32 @@ def _load_learn_spec(args: argparse.Namespace):
 def _cmd_learn_report(args: argparse.Namespace) -> int:
     """Summarise a learning ledger + run the convergence detectors."""
     from repro.obs import (
-        LEARN_RENDERERS,
         evaluate_learning,
         format_learn_summary,
         read_learn_log,
+        render,
         summarize_learning,
     )
 
     records = read_learn_log(args.learn_log)
     report = evaluate_learning(records, _load_learn_spec(args))
+    summary = summarize_learning(records)
     if args.format == "json":
-        payload = {
-            "summary": summarize_learning(records),
-            "report": json.loads(LEARN_RENDERERS["json"](report)),
-        }
+        payload = {"summary": summary, "report": report.payload()}
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(format_learn_summary(summarize_learning(records)))
-    print()
-    print(LEARN_RENDERERS[args.format](report))
+    else:
+        print(format_learn_summary(summary) + "\n")
+        print(render(report, args.format))
     return 0
 
 
 def _cmd_learn_gate(args: argparse.Namespace) -> int:
     """Convergence gate over a learning ledger; non-zero exit on failure."""
-    from repro.obs import (
-        LEARN_RENDERERS,
-        evaluate_learning,
-        learn_gate,
-        read_learn_log,
-    )
+    from repro.obs import evaluate_learning, read_learn_log
 
     report = evaluate_learning(read_learn_log(args.learn_log),
                                _load_learn_spec(args))
-    print(LEARN_RENDERERS[args.format](report))
-    result = learn_gate(report, warn_only=args.warn_only)
-    if result.report.failures and args.warn_only:
-        print(
-            f"learn gate: {len(result.report.failures)} "
-            "failing detector(s) (warn-only, not failing)",
-            file=sys.stderr,
-        )
-    return result.exit_code
+    return _run_gate(report, args)
 
 
 def _cmd_policy_show(args: argparse.Namespace) -> int:
@@ -1690,10 +1648,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bootstrap CI level for n >= 5 samples (default: 0.95)",
     )
     stat_common.add_argument(
-        "--format", default="text", choices=("text", "json", "github"),
-        help="report format (github = Actions annotations)",
-    )
-    stat_common.add_argument(
         "--verbose", action="store_true",
         help="also list unchanged/added/removed metrics (text format)",
     )
@@ -1719,9 +1673,11 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", parents=[common, perf_common, stat_common],
         help="classify metric shifts against a baseline ledger",
     )
-    perf_cmp_p.add_argument("baseline_ref", metavar="BASELINE",
+    perf_cmp_p.add_argument("baseline", metavar="BASELINE",
                             help="baseline ledger file to compare against")
-    perf_cmp_p.set_defaults(func=_cmd_perf_compare)
+    _add_report_args(perf_cmp_p, warn_only=False)
+    # compare is the gate against an explicit baseline, never warn-only.
+    perf_cmp_p.set_defaults(func=_cmd_perf_gate, warn_only=False)
 
     perf_gate_p = perf_sub.add_parser(
         "gate", parents=[common, perf_common, stat_common],
@@ -1732,10 +1688,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline ledger; omitted = gate the ledger's newest run "
              "against its own history per config key",
     )
-    perf_gate_p.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions but exit 0 (CI bring-up mode)",
-    )
+    _add_report_args(perf_gate_p, warn_only=True)
     perf_gate_p.set_defaults(func=_cmd_perf_gate)
 
     ops_p = sub.add_parser(
@@ -1776,12 +1729,7 @@ def build_parser() -> argparse.ArgumentParser:
     slo_gate_p.add_argument("--config", default=None, metavar="FILE",
                             help="SLO definitions JSON (default: the "
                                  "built-in decision SLOs)")
-    slo_gate_p.add_argument("--format", default="text",
-                            choices=("text", "json", "github"),
-                            help="github emits workflow error annotations")
-    slo_gate_p.add_argument("--warn-only", action="store_true",
-                            help="report violations but exit 0 "
-                                 "(CI bring-up mode)")
+    _add_report_args(slo_gate_p, warn_only=True)
     slo_gate_p.set_defaults(func=_cmd_slo_gate)
 
     policy_p = sub.add_parser(
@@ -1823,21 +1771,17 @@ def build_parser() -> argparse.ArgumentParser:
     learn_common.add_argument("--spec", default=None, metavar="FILE",
                               help="convergence spec JSON (default: the "
                                    "built-in detector bounds)")
-    learn_common.add_argument("--format", default="text",
-                              choices=("text", "json", "github"),
-                              help="github emits workflow error annotations")
     learn_report_p = learn_sub.add_parser(
         "report", parents=[common, learn_common],
         help="training summary + convergence detector verdicts",
     )
+    _add_report_args(learn_report_p, warn_only=False)
     learn_report_p.set_defaults(func=_cmd_learn_report)
     learn_gate_p = learn_sub.add_parser(
         "gate", parents=[common, learn_common],
         help="convergence/divergence gate; non-zero exit on failure",
     )
-    learn_gate_p.add_argument("--warn-only", action="store_true",
-                              help="report failures but exit 0 "
-                                   "(CI bring-up mode)")
+    _add_report_args(learn_gate_p, warn_only=True)
     learn_gate_p.set_defaults(func=_cmd_learn_gate)
     return parser
 

@@ -26,9 +26,13 @@ Module map:
   Prometheus text
 * :mod:`repro.obs.profile` — ``engine.phase.*`` time breakdowns
 * :mod:`repro.obs.context` — ``TraceContext`` request correlation
+* :mod:`repro.obs.ledger`  — ``JsonlLedger``, the append-only JSONL
+  file under the perf ledger, the ops log and the learning ledger
+* :mod:`repro.obs.report`  — the ``Report`` base, ``render`` and
+  ``gate`` shared by every ``perf|slo|learn`` gate
 * :mod:`repro.obs.opslog`  — structured JSONL ops log (``OpsLogger``)
 * :mod:`repro.obs.learn`   — JSONL learning ledger (``LearnRecorder``),
-  convergence/divergence detectors, ``repro learn`` gate
+  convergence/divergence detectors
 * :mod:`repro.obs.runtime` — sliding windows, health indicators, SLOs
 
 Span/metric naming conventions live in ``docs/observability.md``.
@@ -66,9 +70,7 @@ from repro.obs.export import (
 from repro.obs.learn import (
     DEFAULT_CONVERGENCE,
     LEARN_RECORD_FIELDS,
-    LEARN_RENDERERS,
     ConvergenceSpec,
-    LearnGateResult,
     LearnRecorder,
     LearnReport,
     LearnVerdict,
@@ -76,17 +78,14 @@ from repro.obs.learn import (
     format_learn_summary,
     gate_learn_log,
     is_plateau,
-    learn_gate,
     learn_record,
     load_convergence_spec,
     plateau_episode,
     read_learn_log,
-    render_learn_github,
-    render_learn_json,
-    render_learn_text,
     spec_from_mapping,
     summarize_learning,
 )
+from repro.obs.ledger import JsonlLedger
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -106,11 +105,10 @@ from repro.obs.opslog import (
     tail_ops_log,
 )
 from repro.obs.profile import PhaseStat, format_breakdown, phase_breakdown
+from repro.obs.report import FORMATS, GateResult, Report, gate, render
 from repro.obs.runtime import (
     DEFAULT_SLOS,
-    SLO_RENDERERS,
     SlidingWindow,
-    SloGateResult,
     SloReport,
     SloSpec,
     SloVerdict,
@@ -118,10 +116,6 @@ from repro.obs.runtime import (
     gate_ops_log,
     health_indicators,
     load_slo_config,
-    render_slo_github,
-    render_slo_json,
-    render_slo_text,
-    slo_gate,
     slos_from_mapping,
 )
 from repro.obs.trace import (
@@ -215,12 +209,13 @@ __all__ = [
     "DEFAULT_CONVERGENCE",
     "DEFAULT_SLOS",
     "EPOCH_METADATA_NAME",
+    "FORMATS",
+    "GateResult",
     "Gauge",
     "Histogram",
     "InstantRecord",
+    "JsonlLedger",
     "LEARN_RECORD_FIELDS",
-    "LEARN_RENDERERS",
-    "LearnGateResult",
     "LearnRecorder",
     "LearnReport",
     "LearnVerdict",
@@ -233,9 +228,8 @@ __all__ = [
     "ObsSession",
     "OpsLogger",
     "PhaseStat",
-    "SLO_RENDERERS",
+    "Report",
     "SlidingWindow",
-    "SloGateResult",
     "SloReport",
     "SloSpec",
     "SloVerdict",
@@ -253,13 +247,13 @@ __all__ = [
     "format_breakdown",
     "format_learn_summary",
     "format_ops_summary",
+    "gate",
     "gate_learn_log",
     "gate_ops_log",
     "health_indicators",
     "histogram_quantile",
     "is_plateau",
     "job_record_from_event",
-    "learn_gate",
     "learn_record",
     "load_chrome_trace",
     "load_convergence_spec",
@@ -276,13 +270,7 @@ __all__ = [
     "read_jsonl",
     "read_learn_log",
     "read_ops_log",
-    "render_learn_github",
-    "render_learn_json",
-    "render_learn_text",
-    "render_slo_github",
-    "render_slo_json",
-    "render_slo_text",
-    "slo_gate",
+    "render",
     "slos_from_mapping",
     "span_tree",
     "spans_from_chrome",

@@ -7,9 +7,8 @@ correlation ids, the outcome, and the two latencies that matter for the
 SLOs (service latency and queue wait).
 
 :class:`OpsLogger` is the **only** code allowed to append to an ops
-log; lint rule RPL801 enforces that, exactly as RPL501/RPL601 do for
-the perf ledger and the run cache.  Everything else in this module is
-read-side: :func:`read_ops_log`, :func:`tail_ops_log`, and
+log; the sole-writer lint rule RPL801 enforces that.  Everything else
+in this module is read-side: :func:`read_ops_log`, :func:`tail_ops_log`, and
 :func:`summarize_ops` back ``repro ops tail|summary``, and the SLO
 runtime (:mod:`repro.obs.runtime`) evaluates the same records.
 
@@ -38,12 +37,12 @@ allowed and preserved; the required seven always exist.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.errors import ObsError
+from repro.obs.ledger import JsonlLedger
 
 if TYPE_CHECKING:
     from repro.fleet.events import FleetEvent
@@ -102,56 +101,15 @@ def ops_record(
     return record
 
 
-class OpsLogger:
-    """Append-only JSONL writer — the sole blessed ops-log producer.
-
-    One logger owns one file; every :meth:`log` call validates the
-    record against the schema, appends one line to a handle opened on
-    the first record, and flushes it, so a crash can lose at most the
-    line being written and readers see each record as soon as
-    :meth:`log` returns.  :meth:`close` (or leaving a ``with`` block)
-    releases the handle; a later :meth:`log` reopens it.
-    """
+class OpsLogger(JsonlLedger):
+    """The sole blessed ops-log producer: a
+    :class:`~repro.obs.ledger.JsonlLedger` over :data:`OPS_RECORD_FIELDS`."""
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.written = 0
-        self._fh: IO[str] | None = None
+        super().__init__(path, OPS_RECORD_FIELDS, ObsError, "ops log")
 
-    def __enter__(self) -> "OpsLogger":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def log(self, record: Mapping[str, Any]) -> dict[str, Any]:
-        """Validate and append one record; returns the stored form.
-
-        Raises:
-            ObsError: When required fields are missing or the record is
-                not JSON-serialisable.
-        """
-        missing = [f for f in OPS_RECORD_FIELDS if f not in record]
-        if missing:
-            raise ObsError(f"ops record missing fields {missing}")
-        stored = dict(record)
-        try:
-            line = json.dumps(stored, sort_keys=True)
-        except (TypeError, ValueError) as exc:
-            raise ObsError(f"ops record is not JSON-serialisable: {exc}") from exc
-        if self._fh is None:
-            self._fh = self.path.open("a", encoding="utf-8")
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        self.written += 1
-        return stored
-
-    def close(self) -> None:
-        """Close the append handle (idempotent)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+    #: The sanctioned append that RPL801 points ad-hoc writers at.
+    log = JsonlLedger.append
 
 
 def job_record_from_event(event: "FleetEvent") -> dict[str, Any] | None:
@@ -189,32 +147,13 @@ def job_record_from_event(event: "FleetEvent") -> dict[str, Any] | None:
 
 
 def read_ops_log(path: str | Path) -> list[dict[str, Any]]:
-    """All records of one ops log, in file order.
+    """All records of one ops log, in file order (torn tail skipped).
 
     Raises:
         ObsError: On an unreadable file, a non-JSON line, or a record
             missing required fields.
     """
-    source = Path(path)
-    try:
-        text = source.read_text()
-    except OSError as exc:
-        raise ObsError(f"cannot read ops log {source}: {exc}") from exc
-    records: list[dict[str, Any]] = []
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ObsError(f"{source}:{n} is not JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ObsError(f"{source}:{n} is not a JSON object")
-        missing = [f for f in OPS_RECORD_FIELDS if f not in record]
-        if missing:
-            raise ObsError(f"{source}:{n} missing fields {missing}")
-        records.append(record)
-    return records
+    return OpsLogger(path).read()
 
 
 def tail_ops_log(path: str | Path, n: int = 10) -> list[dict[str, Any]]:

@@ -7,14 +7,15 @@ invocations, each benchmark) appends a :class:`RunRecord` through
 override).  :func:`compare_records` then tests the latest samples
 against history — bootstrap median-shift CIs when there are enough
 samples, a plain threshold rule when there are not — and ``repro perf
-gate`` turns the verdicts into an exit code for CI.
+gate`` turns the verdicts into an exit code for CI through the shared
+:func:`repro.obs.render` / :func:`repro.obs.gate` pair.
 
 Module map:
 
 * :mod:`repro.perf.ledger`  — ``RunRecord`` / ``Ledger`` /
   ``record_run`` / snapshot flattening
-* :mod:`repro.perf.regress` — ``compare_records`` / ``gate`` /
-  text-json-github renderers
+* :mod:`repro.perf.regress` — ``compare_records`` and the
+  ``PerfComparison`` report
 
 Schema and gate semantics live in ``docs/observability.md``.
 """
@@ -41,15 +42,10 @@ from repro.perf.regress import (
     DEFAULT_CONFIDENCE,
     DEFAULT_THRESHOLD,
     MIN_BOOTSTRAP_SAMPLES,
-    GateResult,
     MetricVerdict,
     PerfComparison,
     compare_records,
-    gate,
     metric_polarity,
-    render_github,
-    render_json,
-    render_text,
 )
 
 __all__ = [
@@ -57,7 +53,6 @@ __all__ = [
     "DEFAULT_CONFIDENCE",
     "DEFAULT_LEDGER_PATH",
     "DEFAULT_THRESHOLD",
-    "GateResult",
     "LEDGER_ENV_VAR",
     "LEDGER_SCHEMA_VERSION",
     "Ledger",
@@ -66,7 +61,6 @@ __all__ = [
     "PerfComparison",
     "RunRecord",
     "compare_records",
-    "gate",
     "git_sha",
     "group_samples",
     "metric_polarity",
@@ -74,9 +68,6 @@ __all__ = [
     "new_run_id",
     "read_ledger",
     "record_run",
-    "render_github",
-    "render_json",
-    "render_text",
     "resolve_ledger_path",
     "split_latest",
 ]

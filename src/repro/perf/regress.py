@@ -16,18 +16,21 @@ classifies the shift:
 Metric *polarity* (whether bigger is better) is inferred from the name —
 ``qos`` / ``speedup`` / throughput-ish metrics count up, everything else
 (energy, latency, failures) counts down — and can be overridden per
-metric.
+metric.  The resulting :class:`PerfComparison` is a
+:class:`~repro.obs.report.Report`: :func:`repro.obs.render` prints it
+and :func:`repro.obs.gate` turns it into an exit code.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import PerfError
+from repro.obs.report import Report
 from repro.perf.ledger import RunRecord, group_samples
 
 MIN_BOOTSTRAP_SAMPLES = 5
@@ -123,26 +126,94 @@ class MetricVerdict:
     polarity: str
 
 
+def _fmt(value: float | None) -> str:
+    if value is None:
+        return "-"
+    if value == 0:
+        return "0"
+    if abs(value) >= 1000 or abs(value) < 0.001:
+        return f"{value:.3e}"
+    return f"{value:.6g}"
+
+
+def _fmt_shift(v: MetricVerdict) -> str:
+    return f"{v.shift:+.1%}" if v.shift is not None else "?"
+
+
 @dataclass(frozen=True)
-class PerfComparison:
+class PerfComparison(Report):
     """All verdicts of one baseline/current comparison."""
 
     verdicts: tuple[MetricVerdict, ...]
     threshold: float
     confidence: float
 
-    @property
-    def regressions(self) -> tuple[MetricVerdict, ...]:
-        return tuple(v for v in self.verdicts if v.status == "regressed")
+    gate_name = "perf"
+    failure_noun = "regression(s)"
+    all_clear = "no significant shifts"
+    fail_status = "regressed"
 
-    @property
-    def improvements(self) -> tuple[MetricVerdict, ...]:
-        return tuple(v for v in self.verdicts if v.status == "improved")
+    def verdict_lines(self, verbose: bool) -> list[str]:
+        """Regressions and improvements; unchanged/added/removed
+        verdicts only under ``verbose``."""
+        lines: list[str] = []
+        for v in self.verdicts:
+            if v.status in ("unchanged", "added", "removed") and not verbose:
+                continue
+            shift = f"{v.shift:+.1%}" if v.shift is not None else "-"
+            ci = (
+                f" CI[{v.ci_low:+.1%}, {v.ci_high:+.1%}]"
+                if v.ci_low is not None and v.ci_high is not None
+                else ""
+            )
+            lines.append(
+                f"{v.status.upper():>9}  {v.key} :: {v.metric}  "
+                f"{_fmt(v.baseline_median)} -> {_fmt(v.current_median)} "
+                f"({shift}{ci}, n={v.n_baseline}/{v.n_current}, "
+                f"{v.method}, {v.polarity}-is-better)"
+            )
+        return lines
 
-    @property
-    def ok(self) -> bool:
-        """True when nothing regressed."""
-        return not self.regressions
+    def summary_line(self) -> str:
+        """Verdict counts per status."""
+        counts = Counter(v.status for v in self.verdicts)
+        return (
+            f"{len(self.verdicts)} metric(s): "
+            f"{counts['regressed']} regressed, {counts['improved']} improved, "
+            f"{counts['unchanged']} unchanged"
+            + (
+                f", {counts['added']} added, {counts['removed']} removed"
+                if counts["added"] or counts["removed"]
+                else ""
+            )
+        )
+
+    def payload(self) -> dict[str, Any]:
+        """The JSON report: the verdicts plus the noise threshold and
+        the bootstrap confidence."""
+        return {
+            **super().payload(),
+            "threshold": self.threshold,
+            "confidence": self.confidence,
+        }
+
+    def annotations(self) -> list[tuple[str, str, str]]:
+        """An error per regression, a warning per improvement (worth a
+        look: did the benchmark get easier, or the code faster?)."""
+        notes = [
+            ("error", "perf regression",
+             f"{v.key} :: {v.metric} shifted {_fmt_shift(v)} "
+             f"({_fmt(v.baseline_median)} -> {_fmt(v.current_median)}, "
+             f"{v.method})")
+            for v in self.failures
+        ]
+        notes += [
+            ("warning", "perf improvement",
+             f"{v.key} :: {v.metric} shifted {_fmt_shift(v)}")
+            for v in self.verdicts
+            if v.status == "improved"
+        ]
+        return notes
 
 
 def _bootstrap_shift_ci(
@@ -215,55 +286,40 @@ def compare_records(
         base = base_samples.get(pair, [])
         cur = cur_samples.get(pair, [])
         polarity = metric_polarity(metric, polarity_overrides)
-        if not base or not cur:
-            verdicts.append(
-                MetricVerdict(
-                    key=key,
-                    metric=metric,
-                    status="added" if not base else "removed",
-                    baseline_median=(
-                        float(np.median(base)) if base else None
-                    ),
-                    current_median=float(np.median(cur)) if cur else None,
-                    shift=None,
-                    ci_low=None,
-                    ci_high=None,
-                    n_baseline=len(base),
-                    n_current=len(cur),
-                    method="none",
-                    polarity=polarity,
-                )
-            )
-            continue
-        base_median = float(np.median(base))
-        cur_median = float(np.median(cur))
-        shift = _relative_shift(base_median, cur_median)
-        use_bootstrap = (
-            len(base) >= MIN_BOOTSTRAP_SAMPLES
-            and len(cur) >= MIN_BOOTSTRAP_SAMPLES
-        )
+        base_median = float(np.median(base)) if base else None
+        cur_median = float(np.median(cur)) if cur else None
+        shift: float | None = None
         ci_low: float | None = None
         ci_high: float | None = None
-        if use_bootstrap:
-            ci_low, ci_high = _bootstrap_shift_ci(
-                base, cur, bootstrap_iters, confidence, seed
-            )
-            # Worse means the CI lies entirely past the threshold in
-            # the bad direction; better, entirely past it in the good.
-            if polarity == "lower":
-                worse = ci_low > threshold
-                better = ci_high < -threshold
-            else:
-                worse = ci_high < -threshold
-                better = ci_low > threshold
+        if base_median is None or cur_median is None:
+            status, method = ("added" if not base else "removed"), "none"
         else:
-            if polarity == "lower":
-                worse = shift > threshold
-                better = shift < -threshold
+            shift = _relative_shift(base_median, cur_median)
+            if (len(base) >= MIN_BOOTSTRAP_SAMPLES
+                    and len(cur) >= MIN_BOOTSTRAP_SAMPLES):
+                method = "bootstrap"
+                ci_low, ci_high = _bootstrap_shift_ci(
+                    base, cur, bootstrap_iters, confidence, seed
+                )
+                # Worse means the CI lies entirely past the threshold in
+                # the bad direction; better, entirely past it in the good.
+                if polarity == "lower":
+                    worse = ci_low > threshold
+                    better = ci_high < -threshold
+                else:
+                    worse = ci_high < -threshold
+                    better = ci_low > threshold
             else:
-                worse = shift < -threshold
-                better = shift > threshold
-        status = "regressed" if worse else ("improved" if better else "unchanged")
+                method = "threshold"
+                if polarity == "lower":
+                    worse = shift > threshold
+                    better = shift < -threshold
+                else:
+                    worse = shift < -threshold
+                    better = shift > threshold
+            status = (
+                "regressed" if worse else ("improved" if better else "unchanged")
+            )
         verdicts.append(
             MetricVerdict(
                 key=key,
@@ -276,145 +332,10 @@ def compare_records(
                 ci_high=ci_high,
                 n_baseline=len(base),
                 n_current=len(cur),
-                method="bootstrap" if use_bootstrap else "threshold",
+                method=method,
                 polarity=polarity,
             )
         )
     return PerfComparison(
         verdicts=tuple(verdicts), threshold=threshold, confidence=confidence
-    )
-
-
-# -- rendering (mirrors repro.lint.output) -------------------------------
-
-
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return "-"
-    if value == 0:
-        return "0"
-    if abs(value) >= 1000 or abs(value) < 0.001:
-        return f"{value:.3e}"
-    return f"{value:.6g}"
-
-
-def render_text(comparison: PerfComparison, verbose: bool = False) -> str:
-    """Human-readable comparison summary.
-
-    Regressions and improvements always print; unchanged/added/removed
-    verdicts only under ``verbose``.
-    """
-    lines: list[str] = []
-    shown = 0
-    for v in comparison.verdicts:
-        if v.status in ("unchanged", "added", "removed") and not verbose:
-            continue
-        shown += 1
-        shift = f"{v.shift:+.1%}" if v.shift is not None else "-"
-        ci = (
-            f" CI[{v.ci_low:+.1%}, {v.ci_high:+.1%}]"
-            if v.ci_low is not None and v.ci_high is not None
-            else ""
-        )
-        lines.append(
-            f"{v.status.upper():>9}  {v.key} :: {v.metric}  "
-            f"{_fmt(v.baseline_median)} -> {_fmt(v.current_median)} "
-            f"({shift}{ci}, n={v.n_baseline}/{v.n_current}, "
-            f"{v.method}, {v.polarity}-is-better)"
-        )
-    counts = {"improved": 0, "unchanged": 0, "regressed": 0, "added": 0, "removed": 0}
-    for v in comparison.verdicts:
-        counts[v.status] += 1
-    if shown:
-        lines.append("")
-    lines.append(
-        f"{len(comparison.verdicts)} metric(s): "
-        f"{counts['regressed']} regressed, {counts['improved']} improved, "
-        f"{counts['unchanged']} unchanged"
-        + (
-            f", {counts['added']} added, {counts['removed']} removed"
-            if counts["added"] or counts["removed"]
-            else ""
-        )
-    )
-    return "\n".join(lines)
-
-
-def render_json(comparison: PerfComparison) -> str:
-    """Machine-readable comparison (stable key order)."""
-    payload = {
-        "threshold": comparison.threshold,
-        "confidence": comparison.confidence,
-        "ok": comparison.ok,
-        "verdicts": [
-            {
-                "key": v.key,
-                "metric": v.metric,
-                "status": v.status,
-                "baseline_median": v.baseline_median,
-                "current_median": v.current_median,
-                "shift": v.shift,
-                "ci_low": v.ci_low,
-                "ci_high": v.ci_high,
-                "n_baseline": v.n_baseline,
-                "n_current": v.n_current,
-                "method": v.method,
-                "polarity": v.polarity,
-            }
-            for v in comparison.verdicts
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_github(comparison: PerfComparison) -> str:
-    """GitHub Actions annotations — one ``::error`` per regression,
-    ``::warning`` per improvement (worth a look: did the benchmark get
-    easier, or the code faster?)."""
-    lines: list[str] = []
-    for v in comparison.regressions:
-        shift = f"{v.shift:+.1%}" if v.shift is not None else "?"
-        lines.append(
-            f"::error title=perf regression::{v.key} :: {v.metric} "
-            f"shifted {shift} ({_fmt(v.baseline_median)} -> "
-            f"{_fmt(v.current_median)}, {v.method})"
-        )
-    for v in comparison.improvements:
-        shift = f"{v.shift:+.1%}" if v.shift is not None else "?"
-        lines.append(
-            f"::warning title=perf improvement::{v.key} :: {v.metric} "
-            f"shifted {shift}"
-        )
-    if not lines:
-        lines.append("::notice title=perf gate::no significant shifts")
-    return "\n".join(lines)
-
-
-RENDERERS = {
-    "text": lambda c: render_text(c),
-    "json": render_json,
-    "github": render_github,
-}
-
-
-@dataclass(frozen=True)
-class GateResult:
-    """What ``repro perf gate`` decided."""
-
-    comparison: PerfComparison
-    exit_code: int
-    warn_only: bool = field(default=False)
-
-
-def gate(comparison: PerfComparison, warn_only: bool = False) -> GateResult:
-    """Turn a comparison into an exit code (0 pass, 1 regressed).
-
-    ``warn_only`` reports regressions but forces exit 0 — the CI
-    bring-up mode while a baseline ledger accumulates samples.
-    """
-    failed = not comparison.ok and not warn_only
-    return GateResult(
-        comparison=comparison,
-        exit_code=1 if failed else 0,
-        warn_only=warn_only,
     )

@@ -498,8 +498,11 @@ class PolicyServer:
                     )
         except asyncio.CancelledError:
             raise
-        except ReproError as exc:
-            self._reject(item.future, request, REJECT_ERROR, str(exc),
+        except Exception as exc:
+            # Not only ReproError: any crash that escaped would end this
+            # worker task and strand every request queued behind it.
+            detail = str(exc) if isinstance(exc, ReproError) else repr(exc)
+            self._reject(item.future, request, REJECT_ERROR, detail,
                          queue_wait_s=queue_wait_s)
             return
         self._log_ops(

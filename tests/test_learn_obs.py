@@ -30,18 +30,19 @@ from repro.experiments.learning import (
 from repro.obs import (
     DEFAULT_CONVERGENCE,
     LEARN_RECORD_FIELDS,
-    LEARN_RENDERERS,
+    FORMATS,
     ConvergenceSpec,
     LearnRecorder,
     evaluate_learning,
     format_learn_summary,
+    gate,
     gate_learn_log,
     is_plateau,
-    learn_gate,
     learn_record,
     load_convergence_spec,
     plateau_episode,
     read_learn_log,
+    render,
     spec_from_mapping,
     summarize_learning,
 )
@@ -314,12 +315,12 @@ class TestEvaluateLearning:
 
     def test_renderers_cover_all_formats(self):
         report = evaluate_learning(read_learn_log(DIVERGENT_LEDGER))
-        assert set(LEARN_RENDERERS) == {"text", "json", "github"}
-        text = LEARN_RENDERERS["text"](report)
+        assert set(FORMATS) == {"text", "json", "github"}
+        text = render(report, "text")
         assert "FAIL" in text
-        payload = json.loads(LEARN_RENDERERS["json"](report))
+        payload = json.loads(render(report, "json"))
         assert payload["ok"] is False
-        github = LEARN_RENDERERS["github"](report)
+        github = render(report, "github")
         assert "::error" in github
 
     def test_summary_over_fixture(self):
@@ -331,7 +332,7 @@ class TestEvaluateLearning:
 
     def test_learn_gate_result_carries_report(self):
         report = evaluate_learning(read_learn_log(HEALTHY_LEDGER))
-        result = learn_gate(report)
+        result = gate(report)
         assert result.report is report and result.exit_code == 0
 
 

@@ -22,7 +22,7 @@ from repro.fleet.events import (
 )
 from repro.obs import (
     DEFAULT_SLOS,
-    SLO_RENDERERS,
+    FORMATS,
     OpsLogger,
     SlidingWindow,
     SloSpec,
@@ -31,6 +31,7 @@ from repro.obs import (
     current_context,
     evaluate_slos,
     format_ops_summary,
+    gate,
     gate_ops_log,
     health_indicators,
     job_record_from_event,
@@ -38,10 +39,7 @@ from repro.obs import (
     new_trace_id,
     ops_record,
     read_ops_log,
-    render_slo_github,
-    render_slo_json,
-    render_slo_text,
-    slo_gate,
+    render,
     slos_from_mapping,
     summarize_ops,
     tail_ops_log,
@@ -517,37 +515,37 @@ class TestSloEvaluation:
 
 class TestSloGate:
     def test_renderers_cover_the_cli_formats(self):
-        assert set(SLO_RENDERERS) == {"text", "json", "github"}
+        assert set(FORMATS) == {"text", "json", "github"}
 
     def test_text_render(self):
         report = evaluate_slos(read_ops_log(OPS_FIXTURE),
                                load_slo_config(SLO_CONFIG))
-        text = render_slo_text(report)
+        text = render(report, "text")
         assert "FAIL" in text and "simulation-availability" in text
         assert "3 SLO(s): 1 failing, 2 passing" in text
 
     def test_json_render_parses(self):
         report = evaluate_slos(read_ops_log(OPS_FIXTURE), DEFAULT_SLOS)
-        payload = json.loads(render_slo_json(report))
+        payload = json.loads(render(report, "json"))
         assert payload["ok"] is True
         assert len(payload["verdicts"]) == 2
 
     def test_github_render_annotations(self):
         failing = evaluate_slos(read_ops_log(OPS_FIXTURE),
                                 load_slo_config(SLO_CONFIG))
-        assert "::error title=SLO violation::" in render_slo_github(failing)
+        assert "::error title=SLO violation::" in render(failing, "github")
         passing = evaluate_slos(read_ops_log(OPS_FIXTURE), DEFAULT_SLOS)
-        assert "::notice" in render_slo_github(passing)
+        assert "::notice" in render(passing, "github")
         nodata = evaluate_slos([], DEFAULT_SLOS)
-        assert "::warning title=SLO no-data::" in render_slo_github(nodata)
+        assert "::warning title=SLO no-data::" in render(nodata, "github")
 
     def test_gate_exit_codes(self):
         failing = evaluate_slos(read_ops_log(OPS_FIXTURE),
                                 load_slo_config(SLO_CONFIG))
-        assert slo_gate(failing).exit_code == 1
-        assert slo_gate(failing, warn_only=True).exit_code == 0
+        assert gate(failing).exit_code == 1
+        assert gate(failing, warn_only=True).exit_code == 0
         passing = evaluate_slos(read_ops_log(OPS_FIXTURE), DEFAULT_SLOS)
-        assert slo_gate(passing).exit_code == 0
+        assert gate(passing).exit_code == 0
 
     def test_gate_ops_log_one_call_form(self):
         assert gate_ops_log(OPS_FIXTURE).exit_code == 0

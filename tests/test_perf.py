@@ -8,24 +8,19 @@ import pytest
 
 from repro.cli import main
 from repro.errors import PerfError
-from repro.obs import MetricsRegistry
+from repro.obs import GateResult, MetricsRegistry, gate, render
 from repro.perf import (
-    GateResult,
     Ledger,
     MetricVerdict,
     PerfComparison,
     RunRecord,
     compare_records,
-    gate,
     group_samples,
     metric_polarity,
     metrics_from_snapshot,
     new_run_id,
     read_ledger,
     record_run,
-    render_github,
-    render_json,
-    render_text,
     resolve_ledger_path,
     split_latest,
 )
@@ -295,27 +290,27 @@ class TestRendering:
                                _sampled("c", [2.0, 2.0, 2.0]))
 
     def test_text_names_the_metric(self):
-        text = render_text(self._comparison())
+        text = render(self._comparison(), "text")
         assert "REGRESSED" in text
         assert "bench:e4:governor=rl :: latency_s" in text
         assert "1 regressed, 0 improved" in text
 
     def test_text_hides_unchanged_unless_verbose(self):
         comparison = compare_records(_sampled("b", [1.0]), _sampled("c", [1.0]))
-        assert "UNCHANGED" not in render_text(comparison)
-        assert "UNCHANGED" in render_text(comparison, verbose=True)
+        assert "UNCHANGED" not in render(comparison, "text")
+        assert "UNCHANGED" in render(comparison, "text", verbose=True)
 
     def test_json_is_machine_readable(self):
-        payload = json.loads(render_json(self._comparison()))
+        payload = json.loads(render(self._comparison(), "json"))
         assert payload["ok"] is False
         assert payload["verdicts"][0]["status"] == "regressed"
         assert payload["verdicts"][0]["metric"] == "latency_s"
 
     def test_github_annotations(self):
-        out = render_github(self._comparison())
+        out = render(self._comparison(), "github")
         assert out.startswith("::error title=perf regression::")
         clean = compare_records(_sampled("b", [1.0]), _sampled("c", [1.0]))
-        assert render_github(clean).startswith("::notice")
+        assert render(clean, "github").startswith("::notice")
 
 
 class TestGate:

@@ -849,6 +849,63 @@ class TestServeCli:
             assert proc.wait(timeout=60) == 0
             proc.stdout.close()
 
+    def test_handler_crash_is_rejected_and_worker_survives(
+        self, checkpoint, tmp_path
+    ):
+        # "seed": "x" parses, then raises TypeError (not a ReproError)
+        # inside the simulation.  With one worker, the decision behind
+        # it is only served if that worker outlives the crash.
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        ops = tmp_path / "ops.jsonl"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--checkpoint",
+             str(checkpoint), "--chip", "tiny", "--workers", "1",
+             "--ops-log", str(ops)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, env=env,
+        )
+        try:
+            lines: list[bytes] = []
+            reader = threading.Thread(
+                target=lambda: lines.extend(
+                    proc.stdout.readline() for _ in range(2)
+                ),
+                daemon=True,
+            )
+            reader.start()
+            proc.stdin.write((
+                json.dumps({
+                    "kind": "simulate", "request_id": "sim-x",
+                    "spec": {"scenario": "idle", "governor": "ondemand",
+                             "chip": "tiny", "duration_s": 0.5,
+                             "seed": "x"},
+                }) + "\n"
+                + json.dumps({
+                    "request_id": "after",
+                    "observation": {
+                        "cluster": tiny_test_chip().cluster_names[0]
+                    },
+                }) + "\n"
+            ).encode())
+            proc.stdin.flush()
+            # stdin stays open: both replies must arrive before EOF.
+            reader.join(timeout=30)
+            assert len(lines) == 2, "replies waited for EOF"
+            replies = {r["request_id"]: r for r in map(json.loads, lines)}
+            assert replies["sim-x"]["kind"] == "rejection"
+            assert replies["sim-x"]["reason"] == REJECT_ERROR
+            assert replies["after"]["kind"] == "decision"
+        finally:
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+            proc.stdout.close()
+        outcomes = {
+            r["request_id"]: r["outcome"]
+            for r in map(json.loads, ops.read_text().splitlines())
+        }
+        assert outcomes == {"sim-x": "rejected:error", "after": "ok"}
+
     def test_serve_writes_metrics_and_ledger(
         self, checkpoint, tmp_path, capsys
     ):
