@@ -48,7 +48,7 @@ arbitrary job lists and is *always* exact.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from repro.fleet.spec import JobSpec
 from repro.obs import OBS
 from repro.power.model import PowerModel
 from repro.qos.metrics import evaluate_jobs
+from repro.sim.engine import edf_key
 from repro.sim.result import SimulationResult
 from repro.sim.scheduler import HMPScheduler
 from repro.soc.chip import Chip
@@ -72,10 +73,6 @@ from repro.workload.trace import Trace
 
 _GRACE_FACTOR = 2.0
 """The reference engine's default lateness grace factor."""
-
-
-def _edf_key(job: Job) -> tuple[float, int]:
-    return (job.unit.deadline_s, job.unit.uid)
 
 
 class _ClusterPlan:
@@ -159,7 +156,9 @@ def run_fixed_opp(
     # floats yields exactly that strict-inequality cutoff per step.
     releases = np.array([u.release_s for u in units])
     t1_edges = [step * dt + dt for step in range(n_steps)]
-    arrive_until = np.searchsorted(releases, np.array(t1_edges), side="left")
+    arrive_until: list[int] = np.searchsorted(
+        releases, np.array(t1_edges), side="left"
+    ).tolist()
     # Abandon cutoffs, one float per unit, same expression as the engine.
     cutoff_by_uid = {
         u.uid: u.deadline_s + _GRACE_FACTOR * u.slack_s for u in units
@@ -174,7 +173,7 @@ def run_fixed_opp(
         t1 = t0 + dt
 
         # Arrivals (backlog recomputed per unit, as in the engine).
-        k = int(arrive_until[step])
+        k = arrive_until[step]
         while unit_idx < k:
             unit = units[unit_idx]
             backlog = {
@@ -202,7 +201,7 @@ def run_fixed_opp(
             rate = plan.rate
             cursors = [0.0] * n_cores
             if len(queue) > 1:
-                queue.sort(key=_edf_key)
+                queue.sort(key=edf_key)
             if rate > 0:
                 for job in queue:
                     rem = job.remaining
@@ -359,13 +358,33 @@ class BatchEngine:
         return groups
 
     def run(self) -> list[SimulationResult]:
-        """All rollouts, in spec order."""
+        """All rollouts, in spec order.
+
+        Within one call, fast-path rollouts that evaluate on the same
+        ``(scenario, duration_s, seed)`` — RL evaluation lanes and
+        fixed-OPP rollouts alike — share one generated trace: a trace is
+        a pure function of that key and nothing mutates it.  The cache
+        dies with the call.
+        """
         plan = self.plan()
         results: list[SimulationResult | None] = [None] * len(self.specs)
+        traces: dict[tuple[str, float, int], Trace] = {}
+
+        def trace_for(spec: JobSpec) -> Trace:
+            key = (spec.scenario, spec.duration_s, spec.seed)
+            trace = traces.get(key)
+            if trace is None:
+                trace = traces[key] = get_scenario(spec.scenario).trace(
+                    spec.duration_s, seed=spec.seed
+                )
+            return trace
+
         if any(plan):
             for indices in self._rl_groups().values():
                 if len(indices) >= 2:
-                    grouped = _run_rl_group([self.specs[i] for i in indices])
+                    grouped = _run_rl_group(
+                        [self.specs[i] for i in indices], trace_for
+                    )
                     for i, result in zip(indices, grouped):
                         results[i] = result
         for i, (spec, fast) in enumerate(zip(self.specs, plan)):
@@ -374,11 +393,9 @@ class BatchEngine:
             if fast:
                 from repro.fleet.worker import _build_chip
 
-                chip = _build_chip(spec)
-                trace = get_scenario(spec.scenario).trace(
-                    spec.duration_s, seed=spec.seed
+                results[i] = run_fixed_opp(
+                    spec, _build_chip(spec), trace_for(spec)
                 )
-                results[i] = run_fixed_opp(spec, chip, trace)
             else:
                 from repro.fleet.worker import simulate_spec
 
@@ -386,13 +403,17 @@ class BatchEngine:
         return results
 
 
-def _run_rl_group(specs: Sequence[JobSpec]) -> list[SimulationResult]:
+def _run_rl_group(
+    specs: Sequence[JobSpec], trace_for: Callable[[JobSpec], Trace]
+) -> list[SimulationResult]:
     """Train one RL group lock-step, then evaluate each lane greedily.
 
     Reproduces :func:`repro.fleet.worker.simulate_spec` per spec — fresh
     chip, per-job learning ledger, one power model shared between a
     job's training and its evaluation — with the training and evaluation
-    loops batched across the group.
+    loops batched across the group.  ``trace_for`` supplies each spec's
+    evaluation trace; it is called after training, so the evaluation
+    traces are not held in memory while the group trains.
     """
     from repro.batch.rl import (
         RLTrainJob,
@@ -416,14 +437,10 @@ def _run_rl_group(specs: Sequence[JobSpec]) -> list[SimulationResult]:
         for spec in specs
     ]
     train_policy_batch(jobs)
-    traces = [
-        get_scenario(spec.scenario).trace(spec.duration_s, seed=spec.seed)
-        for spec in specs
-    ]
     return evaluate_policies_batch(
         [job.chip for job in jobs],
         [job.policies for job in jobs],
-        traces,
+        [trace_for(spec) for spec in specs],
         interval_s=specs[0].interval_s,
         power_models=[job.power_model for job in jobs],
     )

@@ -81,8 +81,10 @@ from repro.power.dynamic import DynamicPowerModel
 from repro.power.leakage import LeakagePowerModel
 from repro.power.model import PowerModel
 from repro.qos.metrics import evaluate_jobs
+from repro.rl.exploration import EpsilonSchedule
 from repro.rl.qlearning import QLearningAgent
 from repro.rl.qtable import QTable
+from repro.sim.engine import edf_key, queue_slack
 from repro.sim.result import SimulationResult
 from repro.sim.scheduler import HMPScheduler
 from repro.soc.chip import Chip
@@ -202,21 +204,6 @@ def _distinct_objects(
     return True
 
 
-def _queue_slack(queue: list[Job], now_s: float) -> float:
-    """Normalised queue urgency — the serial engine's expression verbatim."""
-    slack = 1.0
-    for job in queue:
-        nominal = job.unit.slack_s
-        if nominal <= 0:
-            return 0.0
-        slack = min(slack, max(0.0, (job.unit.deadline_s - now_s) / nominal))
-    return slack
-
-
-def _edf_key(job: Job) -> tuple[float, int]:
-    return (job.unit.deadline_s, job.unit.uid)
-
-
 class _Lane:
     """One job's sequential per-episode state (trace, queues, jobs)."""
 
@@ -230,7 +217,9 @@ class _Lane:
         # The serial engine admits units with ``release_s < t1`` per
         # step; searchsorted(side="left") against the same t1 floats is
         # exactly that strict-inequality cutoff.
-        self.arrive_until = np.searchsorted(releases, edges, side="left")
+        self.arrive_until: list[int] = np.searchsorted(
+            releases, edges, side="left"
+        ).tolist()
         self.cutoff = {
             u.uid: u.deadline_s + _GRACE_FACTOR * u.slack_s
             for u in self.units
@@ -289,7 +278,6 @@ class _ClusterVec:
         self.ceff = np.array([s.core.ceff_f for s in specs])
         self.leak_a = np.array([s.core.leak_a_per_v for s in specs])
 
-        self.util_bins = cfg0.util_bins
         self.trend_bins = cfg0.trend_bins
         self.opp_bins = cfg0.opp_bins
         self.slack_bins = cfg0.slack_bins
@@ -398,10 +386,22 @@ class _ClusterVec:
         self.cursor_buf = np.zeros((n, self.n_cores))
         if online:
             # Pre-consume each lane's episode of draws in select() order.
+            # Epsilon is a pure function of (schedule, step): lanes on
+            # equal schedules at the same explorer step share one
+            # trajectory (lanes may differ in either).
+            trajectories: dict[tuple[EpsilonSchedule, int], np.ndarray] = {}
             explore = np.empty((n_steps, n), dtype=bool)
             rand = np.empty((n_steps, n), dtype=np.intp)
             for k, explorer in enumerate(self.explorers):
-                exp_k, rand_k, _ = explorer.plan_draws(n_steps)
+                key = (explorer.schedule, explorer.step)
+                eps = trajectories.get(key)
+                if eps is None:
+                    eps = explorer.schedule.values(
+                        np.arange(explorer.step, explorer.step + n_steps)
+                    )
+                    eps.flags.writeable = False
+                    trajectories[key] = eps
+                exp_k, rand_k, _ = explorer.plan_draws(n_steps, eps)
                 explore[:, k] = exp_k
                 rand[:, k] = rand_k
             self.explore = explore
@@ -435,32 +435,24 @@ class _ClusterVec:
             if step >= 1
             else np.zeros(load.shape)
         )
+        # The serial featurizer clamps each bin to ``bins - 1``; that is a
+        # no-op here: searchsorted over the ``bins - 1`` interior edges
+        # returns at most ``bins - 1``, and ``cur_opp <= n_opps - 1``
+        # keeps the OPP bin below ``opp_bins``.
         if self.util_edges is None:
             util_bin = np.zeros(load.shape, dtype=np.intp)
         else:
-            util_bin = np.minimum(
-                np.searchsorted(self.util_edges, self.level, side="right"),
-                self.util_bins - 1,
-            )
+            util_bin = self.util_edges.searchsorted(self.level, side="right")
         if self.trend_edges is None:
             trend_bin = np.zeros(load.shape, dtype=np.intp)
         else:
-            trend_bin = np.minimum(
-                np.searchsorted(self.trend_edges, trend, side="right"),
-                self.trend_bins - 1,
-            )
-        opp_bin = np.minimum(
-            self.cur_opp * self.opp_bins // max(1, self.n_opps),
-            self.opp_bins - 1,
-        )
+            trend_bin = self.trend_edges.searchsorted(trend, side="right")
+        opp_bin = self.cur_opp * self.opp_bins // max(1, self.n_opps)
         if self.slack_edges is None:
             slack_bin = np.zeros(load.shape, dtype=np.intp)
         else:
-            slack_bin = np.minimum(
-                np.searchsorted(
-                    self.slack_edges, self.slack_prev, side="right"
-                ),
-                self.slack_bins - 1,
+            slack_bin = self.slack_edges.searchsorted(
+                self.slack_prev, side="right"
             )
         state = (
             (util_bin * self.trend_bins + trend_bin) * self.opp_bins + opp_bin
@@ -497,7 +489,7 @@ class _ClusterVec:
             self.wmean = self.wmean + delta / step
             self.m2 = self.m2 + delta * (td - self.wmean)
 
-        greedy = np.argmax(self.pop.values[flat], axis=1)
+        greedy = self.pop.values[flat].argmax(axis=1)
         if online:
             action = np.where(self.explore[step], self.rand[step], greedy)
         else:
@@ -505,9 +497,9 @@ class _ClusterVec:
         self.prev_flat = flat
         self.prev_action = action
 
-        new_opp = np.clip(
-            self.cur_opp + self.deltas[self.lane_idx, action],
-            0, self.max_index,
+        new_opp = np.minimum(
+            np.maximum(self.cur_opp + self.deltas[self.lane_idx, action], 0),
+            self.max_index,
         )
         switches += new_opp != self.cur_opp
         self.cur_opp = new_opp
@@ -527,17 +519,24 @@ class _ClusterVec:
         """
         self.cursor_buf.fill(0.0)
         n_cores = self.n_cores
+        # Per-job arithmetic on Python floats: the same IEEE-754 results
+        # as on NumPy scalars, at a fraction of the per-operation cost.
+        # A completion time is still stored as a NumPy float64, the type
+        # this path has always produced, so the QoS report it feeds is
+        # unchanged down to the float types.
+        rates = (self.capacity * self.freq_now).tolist()
+        float64 = np.float64
         for k, lane in enumerate(lanes):
             queue = lane.queues[self.name]
             if not queue:
                 self.misses_prev[k] = 0
                 self.slack_prev[k] = 1.0
                 continue
-            rate = self.capacity[k] * self.freq_now[k]
+            rate = rates[k]
             cursors = [0.0] * n_cores
             late = 0
             if len(queue) > 1:
-                queue.sort(key=_edf_key)
+                queue.sort(key=edf_key)
             if rate > 0:
                 for job in queue:
                     rem = job.remaining
@@ -562,8 +561,9 @@ class _ClusterVec:
                         cursors[i] = finish
                         job.remaining = rem - w
                         if job.remaining <= 0:
-                            job.completed_at_s = t0 + finish
-                            if job.completed_at_s > job.unit.deadline_s:
+                            done_at = t0 + finish
+                            job.completed_at_s = float64(done_at)
+                            if done_at > job.unit.deadline_s:
                                 late += 1
                     else:
                         order = sorted(
@@ -582,8 +582,9 @@ class _ClusterVec:
                                 finish = max(finish, cursors[i])
                         job.remaining = rem - w
                         if job.remaining <= 0:
-                            job.completed_at_s = t0 + finish
-                            if job.completed_at_s > job.unit.deadline_s:
+                            done_at = t0 + finish
+                            job.completed_at_s = float64(done_at)
+                            if done_at > job.unit.deadline_s:
                                 late += 1
             # Done jobs leave; hopelessly late jobs are abandoned and
             # counted (the engine's drain filter + abandon pass, fused).
@@ -597,7 +598,7 @@ class _ClusterVec:
                         extra += 1
             lane.queues[self.name] = keep
             self.misses_prev[k] = late + extra
-            self.slack_prev[k] = _queue_slack(keep, t1)
+            self.slack_prev[k] = queue_slack(keep, t1)
             self.cursor_buf[k] = cursors
 
     def power(
@@ -772,7 +773,7 @@ class _LockstepRunner:
             # 3. Release arrivals and place them (sequential per lane;
             # backlog recomputed per unit, as in the engine).
             for k, lane in enumerate(lanes):
-                until = int(lane.arrive_until[step])
+                until = lane.arrive_until[step]
                 while lane.unit_idx < until:
                     unit = lane.units[lane.unit_idx]
                     backlog = {

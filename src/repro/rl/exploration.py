@@ -111,7 +111,7 @@ class EpsilonGreedy:
         return int(np.argmax(q_row))
 
     def plan_draws(
-        self, n_steps: int
+        self, n_steps: int, epsilons: "np.ndarray | None" = None
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Pre-consume the next ``n_steps`` decisions' random draws.
 
@@ -123,6 +123,13 @@ class EpsilonGreedy:
         caller (the lock-step batch trainer) then only needs the Q-row
         argmax for the steps where ``explore`` is False.
 
+        Args:
+            n_steps: Decisions to plan.
+            epsilons: The schedule's values over steps ``[step, step +
+                n_steps)``, when the caller already has them (lock-step
+                lanes on equal schedules at the same step share one
+                trajectory); computed here when omitted.
+
         Returns:
             ``(explore, random_actions, epsilons)`` — a boolean mask of
             explore steps, the pre-drawn random action per step (only
@@ -130,21 +137,37 @@ class EpsilonGreedy:
             epsilon used at each step.
 
         Raises:
-            PolicyError: If ``n_steps`` is negative.
+            PolicyError: If ``n_steps`` is negative or ``epsilons`` does
+                not hold ``n_steps`` values.
         """
         if n_steps < 0:
             raise PolicyError(f"n_steps must be non-negative: {n_steps}")
-        epsilons = self.schedule.values(
-            np.arange(self._step, self._step + n_steps)
-        )
-        explore = np.zeros(n_steps, dtype=bool)
-        random_actions = np.zeros(n_steps, dtype=np.intp)
-        for t in range(n_steps):
-            if self._rng.random() < epsilons[t]:
-                explore[t] = True
-                random_actions[t] = int(self._rng.integers(self.n_actions))
+        if epsilons is None:
+            epsilons = self.schedule.values(
+                np.arange(self._step, self._step + n_steps)
+            )
+        elif len(epsilons) != n_steps:
+            raise PolicyError(
+                f"need {n_steps} epsilons, got {len(epsilons)}"
+            )
+        random = self._rng.random
+        integers = self._rng.integers
+        n_actions = self.n_actions
+        explore: list[bool] = []
+        random_actions: list[int] = []
+        for eps in epsilons.tolist():
+            if random() < eps:
+                explore.append(True)
+                random_actions.append(int(integers(n_actions)))
+            else:
+                explore.append(False)
+                random_actions.append(0)
         self._step += n_steps
-        return explore, random_actions, epsilons
+        return (
+            np.array(explore, dtype=bool),
+            np.array(random_actions, dtype=np.intp),
+            epsilons,
+        )
 
     def reset(self, *, keep_schedule: bool = False) -> None:
         """Reset the decision counter (and thus epsilon) back to the

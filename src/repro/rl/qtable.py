@@ -148,8 +148,13 @@ class QTable:
                 f"{s.shape}/{a.shape}/{r.shape}/{ns.shape}"
             )
         n = s.size
-        al = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
-        ga = np.broadcast_to(np.asarray(gamma, dtype=float), (n,))
+        al = np.asarray(alpha, dtype=float)
+        ga = np.asarray(gamma, dtype=float)
+        # Per-update arrays (the lock-step trainer's) are used as given.
+        if al.shape != (n,):
+            al = np.broadcast_to(al, (n,))
+        if ga.shape != (n,):
+            ga = np.broadcast_to(ga, (n,))
         if n == 0:
             return np.empty(0)
         if (

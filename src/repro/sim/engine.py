@@ -62,6 +62,22 @@ histogram — log-ish spacing from 100 ns to 10 ms, bracketing both a
 table lookup and a full RL forward pass."""
 
 
+def edf_key(job: Job) -> tuple[float, int]:
+    """Earliest-deadline-first run-queue order, unit id breaking ties."""
+    return (job.unit.deadline_s, job.unit.uid)
+
+
+def queue_slack(queue: list[Job], now_s: float) -> float:
+    """Normalised urgency of the pending queue, 1.0 (relaxed) to 0.0."""
+    slack = 1.0
+    for job in queue:
+        nominal = job.unit.slack_s
+        if nominal <= 0:
+            return 0.0
+        slack = min(slack, max(0.0, (job.unit.deadline_s - now_s) / nominal))
+    return slack
+
+
 class Simulator:
     """Runs one workload trace under one power-management policy.
 
@@ -372,7 +388,7 @@ class Simulator:
                     completed_work=completed_work,
                     deadline_misses=misses + misses_extra[name],
                     completions=completions,
-                    qos_slack=self._queue_slack(queue, t1),
+                    qos_slack=queue_slack(queue, t1),
                     energy_j=cluster_energy[name],
                     temp_c=temps.get(name),
                 )
@@ -462,7 +478,7 @@ class Simulator:
         # pre-consumes time on every core (the cluster clock is down).
         cursors = [min(stall_s, dt)] * n_cores
 
-        queue.sort(key=lambda j: (j.unit.deadline_s, j.unit.uid))
+        queue.sort(key=edf_key)
         completed_work = 0.0
         completions = 0
         misses = 0
@@ -492,14 +508,3 @@ class Simulator:
         for i, core in enumerate(cluster.cores):
             core.record_interval(cursors[i] * freq, freq, dt)
         return completed_work, completions, misses
-
-    @staticmethod
-    def _queue_slack(queue: list[Job], now_s: float) -> float:
-        """Normalised urgency of the pending queue, 1.0 (relaxed) to 0.0."""
-        slack = 1.0
-        for job in queue:
-            nominal = job.unit.slack_s
-            if nominal <= 0:
-                return 0.0
-            slack = min(slack, max(0.0, (job.unit.deadline_s - now_s) / nominal))
-        return slack

@@ -62,31 +62,19 @@ class HMPScheduler(Scheduler):
         self, unit: WorkUnit, chip: Chip, backlog_work: dict[str, float], now_s: float
     ) -> str:
         time_left = max(unit.deadline_s - now_s, 1e-6)
-        # Order clusters by single-thread peak capacity, smallest first.
-        ranked = sorted(
-            chip.clusters,
-            key=lambda c: c.spec.core.capacity * c.spec.opp_table.max_freq_hz,
-        )
-        for cluster in ranked:
-            peak_1t = (
-                cluster.spec.core.capacity
-                * cluster.spec.opp_table.max_freq_hz
-                * min(unit.min_parallelism, cluster.n_cores)
-            )
-            peak_cluster = (
-                cluster.spec.core.capacity
-                * cluster.spec.opp_table.max_freq_hz
-                * cluster.n_cores
-            )
-            backlog = backlog_work.get(cluster.spec.name, 0.0)
+        # Clusters by single-thread peak capacity, smallest first.
+        for name, peak, n_cores in chip.peak_ranking:
+            peak_1t = peak * min(unit.min_parallelism, n_cores)
+            peak_cluster = peak * n_cores
+            backlog = backlog_work.get(name, 0.0)
             # The unit itself is rate-limited by its parallelism; the backlog
             # in front of it drains at full cluster rate.
             needed_s = unit.work / (peak_1t * self.margin) + backlog / (
                 peak_cluster * self.margin
             )
             if needed_s <= time_left:
-                return cluster.spec.name
-        return ranked[-1].spec.name
+                return name
+        return chip.peak_ranking[-1][0]
 
 
 @dataclass

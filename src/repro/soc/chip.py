@@ -18,6 +18,13 @@ class Chip:
     Args:
         name: Chip model name for reporting.
         cluster_specs: Static cluster descriptions; names must be unique.
+
+    Attributes:
+        peak_ranking: ``(name, peak, n_cores)`` per cluster, where
+            ``peak`` is one core's work rate at the top OPP
+            (``capacity * max_freq_hz``), smallest peak first and
+            declaration order on ties — the order HMP placement tries
+            clusters in.
     """
 
     def __init__(self, name: str, cluster_specs: Iterable[ClusterSpec]):
@@ -31,6 +38,16 @@ class Chip:
         self._by_name: Mapping[str, Cluster] = {
             c.spec.name: c for c in self.clusters
         }
+        # Cluster specs are frozen, so the placement ranking is fixed for
+        # the chip's lifetime; sorted() is stable, so ties keep chip order.
+        peaks = [
+            (c.spec.name, c.spec.core.capacity * c.spec.opp_table.max_freq_hz,
+             c.n_cores)
+            for c in self.clusters
+        ]
+        self.peak_ranking: tuple[tuple[str, float, int], ...] = tuple(
+            sorted(peaks, key=lambda row: row[1])
+        )
 
     def __iter__(self) -> Iterator[Cluster]:
         return iter(self.clusters)

@@ -12,7 +12,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import WorkloadError
 from repro.workload.task import WorkUnit
@@ -22,20 +22,28 @@ _CSV_FIELDS = ["uid", "release_s", "work", "deadline_s", "kind", "min_parallelis
 
 @dataclass
 class Trace:
-    """An immutable-by-convention, time-ordered sequence of work units.
+    """A time-ordered sequence of work units.
+
+    A trace is read-only once built: ``units`` is stored as a tuple of
+    frozen :class:`~repro.workload.task.WorkUnit` records, so one trace
+    can back many rollouts (the batch backend shares one per
+    ``(scenario, duration, seed)``).
 
     Attributes:
-        units: Work units sorted by release time.
+        units: Work units sorted by release time (any sequence on input,
+            a tuple once built).
         name: Trace label used in reports.
         duration_s: Nominal trace duration; defaults to the last deadline.
     """
 
-    units: list[WorkUnit]
+    units: Sequence[WorkUnit]
     name: str = "trace"
     duration_s: float = field(default=0.0)
 
     def __post_init__(self) -> None:
-        self.units = sorted(self.units, key=lambda u: (u.release_s, u.uid))
+        self.units = tuple(
+            sorted(self.units, key=lambda u: (u.release_s, u.uid))
+        )
         uids = [u.uid for u in self.units]
         if len(set(uids)) != len(uids):
             raise WorkloadError(f"trace {self.name!r} contains duplicate unit ids")

@@ -123,3 +123,83 @@ class TestBitIdentity:
             assert BatchEngine(specs).plan() == [False]
             batch = run_batch(specs)
         _assert_bit_identical(simulate_spec(specs[0]), batch[0])
+
+
+class TestTraceSharing:
+    """One ``run_batch`` call builds each evaluation trace once and
+    shares it between RL evaluation lanes and fixed-OPP rollouts."""
+
+    @staticmethod
+    def _specs() -> list[JobSpec]:
+        rl = [
+            JobSpec(scenario="audio_playback", governor="rl-policy",
+                    seed=100 + k, chip="tiny", duration_s=1.0,
+                    train_episodes=1, train_base_seed=1000 * (k + 1))
+            for k in range(2)
+        ]
+        fixed = [
+            JobSpec(scenario="audio_playback", governor=governor,
+                    seed=seed, chip="tiny", duration_s=1.0)
+            for governor in ("performance", "powersave")
+            for seed in (100, 101, 102)
+        ]
+        return rl + fixed
+
+    def test_shared_traces_match_serial_and_stay_unchanged(self, monkeypatch):
+        from collections import Counter
+
+        from repro.workload.scenarios import Scenario
+
+        specs = self._specs()
+        assert all(BatchEngine(specs).plan())
+        serial = run_batch(specs, force_serial=True)
+
+        calls: Counter = Counter()
+        built = []
+        original = Scenario.trace
+
+        def spy(self, duration_s=60.0, seed=0):
+            calls[(self.name, duration_s, seed)] += 1
+            trace = original(self, duration_s, seed=seed)
+            built.append((trace, trace.units, list(trace.units)))
+            return trace
+
+        monkeypatch.setattr(Scenario, "trace", spy)
+        batch = run_batch(specs)
+
+        for a, b in zip(serial, batch):
+            assert b == a
+            _assert_bit_identical(a, b)
+        # Every distinct key generated once: the two training traces plus
+        # the evaluation seeds 100-102, which the RL lanes and both
+        # fixed-OPP governors share.
+        assert calls == {
+            ("audio_playback", 1.0, 1000): 1,
+            ("audio_playback", 1.0, 2000): 1,
+            ("audio_playback", 1.0, 100): 1,
+            ("audio_playback", 1.0, 101): 1,
+            ("audio_playback", 1.0, 102): 1,
+        }
+        for trace, units, snapshot in built:
+            assert isinstance(trace.units, tuple)
+            assert trace.units is units
+            assert list(trace.units) == snapshot
+
+    def test_cache_does_not_outlive_the_call(self, monkeypatch):
+        from repro.workload.scenarios import Scenario
+
+        specs = self._specs()[2:4]
+        calls = []
+        original = Scenario.trace
+
+        def spy(self, duration_s=60.0, seed=0):
+            calls.append(seed)
+            return original(self, duration_s, seed=seed)
+
+        monkeypatch.setattr(Scenario, "trace", spy)
+        engine = BatchEngine(specs)
+        first = engine.run()
+        second = engine.run()
+        assert calls == [100, 101, 100, 101]
+        for a, b in zip(first, second):
+            _assert_bit_identical(a, b)

@@ -244,6 +244,75 @@ class TestTrainBatchBitIdentity:
             _assert_policies_identical(a.policies, b.policies)
 
 
+class TestEpsilonTrajectorySharing:
+    """Lanes share one epsilon trajectory per (schedule, explorer step),
+    so the dedupe key must separate different schedules and different
+    starting steps while merging equal-by-value schedules."""
+
+    SCHEDULE = dict(start=0.6, decay=0.99, floor=0.05)
+
+    def _jobs(self):
+        shared_a = EpsilonSchedule(**self.SCHEDULE)
+        shared_b = EpsilonSchedule(**self.SCHEDULE)
+        assert shared_a == shared_b and shared_a is not shared_b
+        configs = [
+            PolicyConfig(seed=1, epsilon=shared_a),
+            PolicyConfig(seed=2, epsilon=shared_b),
+            PolicyConfig(seed=3, epsilon=EpsilonSchedule(
+                start=0.6, decay=0.9, floor=0.05)),
+            PolicyConfig(seed=4, epsilon=EpsilonSchedule(**self.SCHEDULE)),
+        ]
+        jobs = [
+            RLTrainJob(chip=tiny_test_chip(), scenario=tiny_scenario(),
+                       episodes=2, episode_duration_s=1.5, base_seed=10 + i,
+                       config=cfg)
+            for i, cfg in enumerate(configs)
+        ]
+        # The last lane was trained for one episode already: its
+        # explorer starts this run at a nonzero step.
+        pre = jobs[-1]
+        pre.policies = train_policy(
+            pre.chip, pre.scenario, episodes=1, episode_duration_s=1.5,
+            base_seed=99, config=pre.config,
+        ).policies
+        pre.episode_offset = 1
+        assert pre.policies["cpu"].agent.explorer.step > 0
+        return jobs
+
+    def test_matches_serial_bit_for_bit(self, monkeypatch):
+        serial = train_policy_batch(self._jobs(), force_serial=True)
+
+        trajectories = []
+        original = EpsilonSchedule.values
+
+        def spy(self, steps):
+            trajectories.append((self, int(np.asarray(steps)[0])))
+            return original(self, steps)
+
+        monkeypatch.setattr(EpsilonSchedule, "values", spy)
+        batched = train_policy_batch(self._jobs())
+        monkeypatch.undo()
+
+        # Two episodes x three distinct (schedule, step) keys: lanes 0
+        # and 1 share, lane 2 decays differently, lane 3 starts later.
+        assert len(trajectories) == 6
+        for a, b in zip(serial, batched):
+            assert a.history == b.history
+            _assert_policies_identical(a.policies, b.policies)
+            for name in a.policies:
+                ea = a.policies[name].agent.explorer
+                eb = b.policies[name].agent.explorer
+                assert (ea._rng.bit_generator.state
+                        == eb._rng.bit_generator.state)
+
+    def test_plan_draws_rejects_wrong_length(self):
+        from repro.errors import PolicyError
+
+        explorer = EpsilonGreedy(EpsilonSchedule(), 3, seed=0)
+        with pytest.raises(PolicyError):
+            explorer.plan_draws(4, np.zeros(3))
+
+
 class TestEvaluateBatch:
     def test_matches_serial_evaluator_and_restores_flags(self):
         results = train_policy_batch(_jobs([0, 1, 2]))
