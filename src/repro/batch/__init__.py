@@ -1,16 +1,13 @@
 """Batched multi-rollout simulation backend.
 
 :class:`BatchEngine` runs many (scenario, seed, governor) rollouts in
-one process, vectorising the chip/power/QoS models for table-free
-governors while remaining **bit-identical** to the reference
-:class:`repro.sim.engine.Simulator` — see :mod:`repro.batch.engine` for
-how, and :mod:`repro.batch.plans` for which rollouts qualify.
-
-``rl-policy`` jobs have their own lock-step fast path
-(:mod:`repro.batch.rl`): groups of structurally-matching RL training
-jobs advance through every interval together, batching the featurise →
-TD-update → select hot loop across rollouts under the same bit-identity
-contract.
+one process while remaining **bit-identical** to the reference
+:class:`repro.sim.engine.Simulator` — see :mod:`repro.batch.plans` for
+which rollouts qualify.  Table-free governors and groups of
+structurally-matching ``rl-policy`` jobs run as lanes of one lock-step
+core (:mod:`repro.batch.rl`): lanes advance through every interval
+together, with a per-cluster decider — a fixed OPP index, or the
+featurise → TD-update → select loop batched across rollouts.
 """
 
 from repro.batch.engine import BatchEngine, run_batch, run_fixed_opp

@@ -1,20 +1,29 @@
-"""Lock-step multi-rollout RL training — the batch backend's RL fast path.
+"""The lane-major lock-step core, and lock-step multi-rollout RL training.
+
+:class:`_LockstepRunner` advances N rollouts ("lanes") of one chip
+layout through the same intervals together.  It owns one copy of the
+per-interval machinery: lane setup, arrival admission and HMP placement,
+the EDF drain (which logs each lane's core cursors into one
+``(steps, lanes, cores)`` array per cluster), the one power expression
+(broadcast over lanes, and over steps when priced after the loop),
+energy integration, and result assembly.  What differs between rollouts
+is the per-cluster *decider*: :class:`_ClusterVec` for the Q-learning
+policy, and :class:`repro.batch.engine._FixedOPP` for the table-free
+governors.  A group whose deciders read no observation is priced once
+after the loop; otherwise each interval is priced as it ends, because
+the next decision reads it.
 
 :func:`train_policy_batch` runs N independent Q-learning training jobs
-*lock-step*: every job advances through the same interval together, and
-everything per-interval that the serial
+through the runner: everything per-interval that the serial
 :func:`repro.core.trainer.train_policy` recomputes per rollout — state
 featurisation, the TD update, epsilon-greedy selection, power and energy
-integration — is evaluated once across all N lanes with NumPy.  Only the
-genuinely sequential per-lane machinery (work arrival, scheduling, EDF
-draining) stays in Python, exactly as in :mod:`repro.batch.engine`'s
-table-free fast path.
+integration — is evaluated once across all N lanes with NumPy.
 
-The contract is **bit identity** with the serial trainer (engine
-contract :data:`repro.sim.engine.ENGINE_VERSION`): trained Q-tables,
-epsilon trajectories, cumulative rewards, TD statistics, episode history
-records, and evaluation results all compare equal with ``==`` on every
-float.  Three mechanisms carry that guarantee:
+The contract is **bit identity** with the serial engine and trainer
+(engine contract :data:`repro.sim.engine.ENGINE_VERSION`): trained
+Q-tables, epsilon trajectories, cumulative rewards, TD statistics,
+episode history records, and evaluation results all compare equal with
+``==`` on every float.  Three mechanisms carry that guarantee:
 
 * **Population Q-table.**  Each cluster's N per-lane Q-tables become row
   blocks of one ``(N * n_states, n_actions)`` table; each lane's agent
@@ -35,9 +44,12 @@ float.  Three mechanisms carry that guarantee:
 * **Serial accumulation order.**  Core and cluster power sums, energy
   integration, and Welford TD statistics are computed as sequences of
   elementwise operations in the serial engine's left-associated order
-  (never ``np.sum``, whose pairwise rounding differs).
+  (never ``np.sum``, whose pairwise rounding differs).  The drain keeps
+  the serial engine's exact arithmetic; its single-core branch exploits
+  that ``a / a == 1.0`` exactly, so the serial ``share = w * (a /
+  total)`` degenerates to ``w`` with no float op at all.
 
-Episode boundaries run the *real* per-lane ``chip.reset()`` and
+Episode boundaries run the *real* per-lane ``cluster.reset()`` and
 ``policy.reset(cluster)`` calls, so episode counters, TD-window resets,
 and reward normalisation are materialised on the policy objects, and the
 trainer's own bookkeeping helpers produce the ledger and history records.
@@ -54,10 +66,12 @@ from __future__ import annotations
 
 import math
 from contextlib import ExitStack
-from typing import TYPE_CHECKING, Hashable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 import numpy as np
 
+from repro.core.config import PolicyConfig
 from repro.core.policy import RLPowerManagementPolicy
 from repro.core.state import StateFeaturizer
 from repro.core.trainer import (
@@ -72,15 +86,12 @@ from repro.core.trainer import (
     make_policies,
     train_policy,
 )
-from dataclasses import dataclass, field
-
-from repro.core.config import PolicyConfig
 from repro.errors import SimulationError
 from repro.obs import OBS
 from repro.power.dynamic import DynamicPowerModel
 from repro.power.leakage import LeakagePowerModel
 from repro.power.model import PowerModel
-from repro.qos.metrics import evaluate_jobs
+from repro.qos.metrics import DEFAULT_GRACE_FACTOR, evaluate_jobs
 from repro.rl.exploration import EpsilonSchedule
 from repro.rl.qlearning import QLearningAgent
 from repro.rl.qtable import QTable
@@ -94,9 +105,6 @@ from repro.workload.trace import Trace
 
 if TYPE_CHECKING:
     from repro.obs.learn import LearnRecorder
-
-_GRACE_FACTOR = 2.0
-"""The reference engine's default lateness grace factor."""
 
 
 @dataclass
@@ -205,7 +213,7 @@ def _distinct_objects(
 
 
 class _Lane:
-    """One job's sequential per-episode state (trace, queues, jobs)."""
+    """One rollout's sequential per-episode state (trace, queues, jobs)."""
 
     __slots__ = ("units", "arrive_until", "cutoff", "queues", "all_jobs",
                  "unit_idx")
@@ -220,8 +228,9 @@ class _Lane:
         self.arrive_until: list[int] = np.searchsorted(
             releases, edges, side="left"
         ).tolist()
+        # Abandon cutoffs, one float per unit, same expression as the engine.
         self.cutoff = {
-            u.uid: u.deadline_s + _GRACE_FACTOR * u.slack_s
+            u.uid: u.deadline_s + DEFAULT_GRACE_FACTOR * u.slack_s
             for u in self.units
         }
         self.queues: dict[str, list[Job]] = {n: [] for n in cluster_names}
@@ -229,14 +238,189 @@ class _Lane:
         self.unit_idx = 0
 
 
-class _ClusterVec:
-    """Vectorised state of one cluster across all N lanes.
+class _ClusterLanes:
+    """One cluster across all N lanes: what the shared core steps.
 
-    Static per-lane parameters (OPP LUTs, electrical constants, bin
-    edges, action deltas) are packed once at construction; per-episode
-    state is rebuilt by :meth:`begin_episode` from the freshly reset
-    policy objects and written back by :meth:`end_episode`.
+    Holds the per-lane electrical constants and operating point, the
+    one EDF drain, and the one power expression.  Subclasses are the
+    deciders — :class:`_ClusterVec` (the Q-learning policy) and
+    :class:`repro.batch.engine._FixedOPP` (the table-free governors) —
+    and set the operating point through :meth:`_set_opp`.
     """
+
+    observes = False
+    """Whether :meth:`decide` reads the previous interval's observation.
+    A group whose clusters observe nothing is priced after the loop."""
+
+    names: list[str]
+    """Each lane's decider name, as its governor would report it."""
+
+    def __init__(self, name: str, chips: Sequence[Chip]) -> None:
+        self.name = name
+        self.clusters = [chip.cluster(name) for chip in chips]
+        self.specs = specs = [c.spec for c in self.clusters]
+        self.n_cores = specs[0].n_cores
+        if any(s.n_cores != self.n_cores for s in specs):
+            raise SimulationError(
+                f"lock-step lanes disagree on cluster {name!r} core count"
+            )
+        self.capacity = np.array([s.core.capacity for s in specs])
+        self.ceff = np.array([s.core.ceff_f for s in specs])
+        self.leak_a = np.array([s.core.leak_a_per_v for s in specs])
+
+    def _set_opp(self, freq: np.ndarray, volt: np.ndarray) -> None:
+        """Move every lane to the given operating point."""
+        self.freq_now = freq
+        self.volt_now = volt
+        # Drain arithmetic runs on Python floats: the same IEEE-754
+        # results as on NumPy scalars, at a fraction of the cost.
+        self.rates = (self.capacity * freq).tolist()
+
+    def begin_episode(self, online: bool, n_steps: int) -> None:
+        # Seconds-of-interval consumed per (interval, lane, core); rows
+        # of intervals whose queue was empty stay zero.
+        self.cursor_log = np.zeros(
+            (n_steps, len(self.clusters), self.n_cores)
+        )
+
+    def end_episode(self, online: bool, n_steps: int) -> None:
+        """Write per-episode state back to the lanes' objects, if any."""
+
+    def decide(self, step: int, online: bool, switches: np.ndarray) -> None:
+        """Set this interval's operating point; count OPP switches."""
+        raise NotImplementedError
+
+    def drain(
+        self, lanes: Sequence[_Lane], step: int, t0: float, t1: float,
+        dt: float,
+    ) -> list[tuple[int, list[Job]]]:
+        """EDF-drain every lane's queue for one interval.
+
+        The per-job arithmetic is the serial ``_drain_cluster`` loop in
+        optimised form.  Each lane's core cursors land in row ``step`` of
+        :attr:`cursor_log`, from which :meth:`price` reconstructs
+        per-core utilisation.  Done jobs leave the queue; hopelessly late
+        ones are abandoned (the engine's drain filter and abandon pass,
+        fused).  Returns ``(lane index, queue as drained)`` for every
+        lane that had work.
+        """
+        log = self.cursor_log[step]
+        name = self.name
+        n_cores = self.n_cores
+        rates = self.rates
+        drained = []
+        for k, lane in enumerate(lanes):
+            queue = lane.queues[name]
+            if not queue:
+                continue
+            drained.append((k, queue))
+            rate = rates[k]
+            cursors = [0.0] * n_cores
+            if len(queue) > 1:
+                queue.sort(key=edf_key)
+            if rate > 0:
+                for job in queue:
+                    rem = job.remaining
+                    par = job.unit.min_parallelism
+                    if par >= n_cores:
+                        par = n_cores
+                    if par == 1:
+                        # min-cursor core, earliest index on ties (the
+                        # serial stable sort's first element).
+                        i = 0
+                        low = cursors[0]
+                        for j in range(1, n_cores):
+                            if cursors[j] < low:
+                                i = j
+                                low = cursors[j]
+                        a = (dt - low) * rate
+                        if a <= 0:
+                            continue
+                        # w = min(rem, sum([a])); share = w*(a/a) = w.
+                        w = rem if rem <= a else a
+                        finish = low + w / rate
+                        cursors[i] = finish
+                        job.remaining = rem - w
+                        if job.remaining <= 0:
+                            job.completed_at_s = t0 + finish
+                    else:
+                        order = sorted(
+                            range(n_cores), key=cursors.__getitem__
+                        )[:par]
+                        avail = [(dt - cursors[i]) * rate for i in order]
+                        total_avail = sum(avail)
+                        if total_avail <= 0:
+                            continue
+                        w = rem if rem <= total_avail else total_avail
+                        finish = 0.0
+                        for i, a in zip(order, avail):
+                            share = w * (a / total_avail)
+                            cursors[i] += share / rate
+                            if share > 0:
+                                finish = max(finish, cursors[i])
+                        job.remaining = rem - w
+                        if job.remaining <= 0:
+                            job.completed_at_s = t0 + finish
+            cutoff = lane.cutoff
+            lane.queues[name] = [
+                j for j in queue
+                if j.remaining > 0 and t1 <= cutoff[j.unit.uid]
+            ]
+            log[k] = cursors
+        return drained
+
+    def power(
+        self, step: int, dt: float, idle_activity: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One interval's dynamic and leakage watts, per lane."""
+        _, _, dyn, leak = self.price(self.cursor_log[step], dt, idle_activity)
+        return dyn, leak
+
+    def price(
+        self, cursors: np.ndarray, dt: float, idle_activity: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-core used cycles and utilisation, and per-lane dynamic
+        and leakage watts, at the current operating point.
+
+        ``cursors`` is one interval's ``(lanes, cores)`` row of
+        :attr:`cursor_log` or the whole log (a leading step axis
+        broadcasts).  Each elementwise expression mirrors one scalar
+        expression of :meth:`repro.power.model.PowerModel.cluster_power`;
+        cores accumulate as column adds in the serial ``+=`` order.
+        """
+        f = self.freq_now[:, None]
+        v = self.volt_now[:, None]
+        avail = f * dt
+        used = np.minimum(cursors * f, avail)
+        util = used / avail
+        # The serial idle scale is 1.0, and ``x * 1.0 == x`` exactly, so
+        # it is left out.  The dynamic product keeps the serial
+        # left-associated order (((activity * ceff) * v) * v) * f — float
+        # mul is not associative, and the contract is bit identity.
+        idle = 1.0 - util
+        activity = util + idle * idle_activity[:, None]
+        dyn_terms = activity * self.ceff[:, None] * v * v * f
+        leak_terms = (self.leak_a[:, None] * v * v) * (util + idle)
+        # The serial sums start at 0.0; every term is >= +0.0, so
+        # starting from the first core's term is the same sum.
+        dyn = dyn_terms[..., 0]
+        leak = leak_terms[..., 0]
+        for c in range(1, self.n_cores):
+            dyn = dyn + dyn_terms[..., c]
+            leak = leak + leak_terms[..., c]
+        return used, util, dyn, leak
+
+
+class _ClusterVec(_ClusterLanes):
+    """The RL decider: one cluster's Q-learning policies across N lanes.
+
+    Static per-lane parameters (OPP LUTs, bin edges, action deltas) are
+    packed once at construction; per-episode state is rebuilt by
+    :meth:`begin_episode` from the freshly reset policy objects and
+    written back by :meth:`end_episode`.
+    """
+
+    observes = True
 
     def __init__(
         self,
@@ -244,39 +428,28 @@ class _ClusterVec:
         chips: Sequence[Chip],
         policies_by_lane: Sequence[dict[str, RLPowerManagementPolicy]],
     ) -> None:
+        super().__init__(name, chips)
         n = len(chips)
-        self.name = name
-        self.clusters = [chip.cluster(name) for chip in chips]
-        specs = [c.spec for c in self.clusters]
-        self.n_cores = specs[0].n_cores
-        self.n_opps = len(specs[0].opp_table)
-        self.max_index = specs[0].opp_table.max_index
-        policies = [lane[name] for lane in policies_by_lane]
+        self.n_opps = len(self.specs[0].opp_table)
+        self.max_index = self.specs[0].opp_table.max_index
+        policies = self.policies = [lane[name] for lane in policies_by_lane]
+        self.names = [p.name for p in policies]
+        # Pre-bind exactly what the first reset() would build, so the
+        # population table exists before the first episode.  The objects
+        # are identical to reset()'s (construction consumes no RNG), and
+        # reset() then sees a bound policy and skips its create branch.
+        for p in policies:
+            if p.featurizer is None:
+                p.featurizer = StateFeaturizer(p.config, self.n_opps)
+                p.agent = p._make_agent(p.featurizer.n_states)
         cfg0 = policies[0].config
-        if any(
-            s.n_cores != self.n_cores or len(s.opp_table) != self.n_opps
-            for s in specs
-        ) or any(
-            (p.config.util_bins, p.config.trend_bins, p.config.opp_bins,
-             p.config.slack_bins, p.config.n_actions)
-            != (cfg0.util_bins, cfg0.trend_bins, cfg0.opp_bins,
-                cfg0.slack_bins, cfg0.n_actions)
-            for p in policies
-        ):
-            raise SimulationError(
-                f"lock-step lanes disagree on cluster {name!r} structure"
-            )
-
         self.freq_lut = np.array(
-            [[opp.freq_hz for opp in s.opp_table] for s in specs]
+            [[opp.freq_hz for opp in s.opp_table] for s in self.specs]
         )
         self.volt_lut = np.array(
-            [[opp.voltage_v for opp in s.opp_table] for s in specs]
+            [[opp.voltage_v for opp in s.opp_table] for s in self.specs]
         )
-        self.max_freq = np.array([s.opp_table.max_freq_hz for s in specs])
-        self.capacity = np.array([s.core.capacity for s in specs])
-        self.ceff = np.array([s.core.ceff_f for s in specs])
-        self.leak_a = np.array([s.core.leak_a_per_v for s in specs])
+        self.max_freq = np.array([s.opp_table.max_freq_hz for s in self.specs])
 
         self.trend_bins = cfg0.trend_bins
         self.opp_bins = cfg0.opp_bins
@@ -311,10 +484,6 @@ class _ClusterVec:
         self.agents: list[QLearningAgent] = [p.agent for p in policies]
         self.explorers = [a.explorer for a in self.agents]
         self.n_states = self.agents[0].n_states
-        if any(a.n_states != self.n_states for a in self.agents):
-            raise SimulationError(
-                f"lock-step lanes disagree on cluster {name!r} state count"
-            )
         self.alpha = np.array([a.alpha for a in self.agents])
         self.gamma = np.array([a.gamma for a in self.agents])
         self.offsets = np.arange(n, dtype=np.intp) * self.n_states
@@ -333,13 +502,16 @@ class _ClusterVec:
         for agent in self.agents:
             agent.table.values = agent.table.values.copy()
 
-    def begin_episode(
-        self,
-        policies: Sequence[RLPowerManagementPolicy],
-        online: bool,
-        n_steps: int,
-    ) -> None:
-        """Load per-episode vectors from the freshly reset policies."""
+    def begin_episode(self, online: bool, n_steps: int) -> None:
+        """Reset each lane's cluster and policy, then load per-episode
+        vectors from the freshly reset policies."""
+        super().begin_episode(online, n_steps)
+        # The real per-lane resets — episode counters, TD windows, reward
+        # normalisation, featurizer clears — the serial run()'s preamble.
+        policies = self.policies
+        for cluster, p in zip(self.clusters, policies):
+            cluster.reset()
+            p.reset(cluster)
         n = len(policies)
         self.energy_scale = np.array(
             [p.reward_config.energy_scale_j for p in policies]
@@ -358,10 +530,9 @@ class _ClusterVec:
         self.level = np.zeros(n)
         self.prev_level = np.zeros(n)
         self.phase_changes = np.zeros(n, dtype=np.int64)
-        # DVFS state: chip.reset() returned every cluster to OPP 0.
+        # DVFS state: cluster.reset() returned every lane to OPP 0.
         self.cur_opp = np.zeros(n, dtype=np.intp)
-        self.freq_now = self.freq_lut[:, 0].copy()
-        self.volt_now = self.volt_lut[:, 0].copy()
+        self._set_opp(self.freq_lut[:, 0].copy(), self.volt_lut[:, 0].copy())
         # Learning state.
         self.cum = np.array([p.cumulative_reward for p in policies])
         self.prev_flat = np.zeros(n, dtype=np.intp)
@@ -383,7 +554,6 @@ class _ClusterVec:
         self.peak = np.zeros((n, self.n_cores))
         self.util_arr = np.zeros((n, self.n_cores))
         self.idle_arr = np.ones((n, self.n_cores), dtype=bool)
-        self.cursor_buf = np.zeros((n, self.n_cores))
         if online:
             # Pre-consume each lane's episode of draws in select() order.
             # Epsilon is a pure function of (schedule, step): lanes on
@@ -503,139 +673,51 @@ class _ClusterVec:
         )
         switches += new_opp != self.cur_opp
         self.cur_opp = new_opp
-        self.freq_now = self.freq_lut[self.lane_idx, new_opp]
-        self.volt_now = self.volt_lut[self.lane_idx, new_opp]
+        self._set_opp(
+            self.freq_lut[self.lane_idx, new_opp],
+            self.volt_lut[self.lane_idx, new_opp],
+        )
 
     def drain(
-        self, lanes: Sequence[_Lane], t0: float, t1: float, dt: float
-    ) -> None:
-        """EDF-drain every lane's queue; track the obs the policy reads.
+        self, lanes: Sequence[_Lane], step: int, t0: float, t1: float,
+        dt: float,
+    ) -> list[tuple[int, list[Job]]]:
+        """The shared EDF drain, then the observation fields it feeds.
 
-        The per-job arithmetic is the serial ``_drain_cluster`` loop
-        (via the batch engine's proven optimised form); on top of it the
-        RL path also records the observation fields the policy consumes
-        next interval — late completions, abandoned jobs, and
-        post-filter queue slack.
+        On top of :meth:`_ClusterLanes.drain`, records what the policy
+        reads next interval: late completions plus abandoned jobs, and
+        the post-filter queue slack at this interval's ``t1``.
         """
-        self.cursor_buf.fill(0.0)
-        n_cores = self.n_cores
-        # Per-job arithmetic on Python floats: the same IEEE-754 results
-        # as on NumPy scalars, at a fraction of the per-operation cost.
-        # A completion time is still stored as a NumPy float64, the type
-        # this path has always produced, so the QoS report it feeds is
-        # unchanged down to the float types.
-        rates = (self.capacity * self.freq_now).tolist()
-        float64 = np.float64
-        for k, lane in enumerate(lanes):
-            queue = lane.queues[self.name]
-            if not queue:
-                self.misses_prev[k] = 0
-                self.slack_prev[k] = 1.0
-                continue
-            rate = rates[k]
-            cursors = [0.0] * n_cores
-            late = 0
-            if len(queue) > 1:
-                queue.sort(key=edf_key)
-            if rate > 0:
+        name = self.name
+        misses = np.zeros(len(lanes), dtype=np.int64)
+        slack = np.ones(len(lanes))
+        drained = super().drain(lanes, step, t0, t1, dt)
+        for k, queue in drained:
+            keep = lanes[k].queues[name]
+            # Every job that left the queue is a miss unless it finished
+            # by its deadline; the rest were abandoned.
+            missed = len(queue) - len(keep)
+            if missed:
                 for job in queue:
-                    rem = job.remaining
-                    par = job.unit.min_parallelism
-                    if par >= n_cores:
-                        par = n_cores
-                    if par == 1:
-                        # min-cursor core, earliest index on ties (the
-                        # serial stable sort's first element).
-                        i = 0
-                        low = cursors[0]
-                        for j in range(1, n_cores):
-                            if cursors[j] < low:
-                                i = j
-                                low = cursors[j]
-                        a = (dt - low) * rate
-                        if a <= 0:
-                            continue
-                        # w = min(rem, sum([a])); share = w*(a/a) = w.
-                        w = rem if rem <= a else a
-                        finish = low + w / rate
-                        cursors[i] = finish
-                        job.remaining = rem - w
-                        if job.remaining <= 0:
-                            done_at = t0 + finish
-                            job.completed_at_s = float64(done_at)
-                            if done_at > job.unit.deadline_s:
-                                late += 1
-                    else:
-                        order = sorted(
-                            range(n_cores), key=cursors.__getitem__
-                        )[:par]
-                        avail = [(dt - cursors[i]) * rate for i in order]
-                        total_avail = sum(avail)
-                        if total_avail <= 0:
-                            continue
-                        w = rem if rem <= total_avail else total_avail
-                        finish = 0.0
-                        for i, a in zip(order, avail):
-                            share = w * (a / total_avail)
-                            cursors[i] += share / rate
-                            if share > 0:
-                                finish = max(finish, cursors[i])
-                        job.remaining = rem - w
-                        if job.remaining <= 0:
-                            done_at = t0 + finish
-                            job.completed_at_s = float64(done_at)
-                            if done_at > job.unit.deadline_s:
-                                late += 1
-            # Done jobs leave; hopelessly late jobs are abandoned and
-            # counted (the engine's drain filter + abandon pass, fused).
-            keep: list[Job] = []
-            extra = 0
-            for job in queue:
-                if job.remaining > 0:
-                    if t1 <= lane.cutoff[job.unit.uid]:
-                        keep.append(job)
-                    else:
-                        extra += 1
-            lane.queues[self.name] = keep
-            self.misses_prev[k] = late + extra
-            self.slack_prev[k] = queue_slack(keep, t1)
-            self.cursor_buf[k] = cursors
+                    if job.remaining <= 0 and (
+                        (done := job.completed_at_s) is None
+                        or done <= job.unit.deadline_s
+                    ):
+                        missed -= 1
+                misses[k] = missed
+            if keep:
+                slack[k] = queue_slack(keep, t1)
+        self.misses_prev = misses
+        self.slack_prev = slack
+        return drained
 
     def power(
-        self, dt: float, idle_activity: np.ndarray
+        self, step: int, dt: float, idle_activity: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One interval's cluster power plus the obs fields it feeds.
-
-        Each elementwise expression mirrors one scalar expression of
-        :meth:`repro.power.model.PowerModel.cluster_power` at the
-        current per-lane OPP.  Per-core terms are computed as one
-        (lane, core) matrix — elementwise, so bit-equal to the scalar
-        expressions — while the cross-core accumulation stays a sequence
-        of column adds in the serial left-associated ``+=`` order.
-        """
-        avail = self.freq_now * dt
-        used = np.minimum(
-            self.cursor_buf * self.freq_now[:, None], avail[:, None]
+        """One interval's cluster power plus the obs fields it feeds."""
+        used, util, dyn_c, leak_c = self.price(
+            self.cursor_log[step], dt, idle_activity
         )
-        util = used / avail[:, None]
-        v = self.volt_now
-        f = self.freq_now
-        leak_base = self.leak_a * v * v
-        # ``* 1.0`` (idle scale) is exact whatever the association; the
-        # dynamic product keeps the serial left-associated order
-        # (((activity * ceff) * v) * v) * f — float mul is not
-        # associative, and the contract is bit identity.
-        activity = util + (1.0 - util) * idle_activity[:, None] * 1.0
-        dyn_terms = (
-            activity * self.ceff[:, None] * v[:, None] * v[:, None]
-            * f[:, None]
-        )
-        leak_terms = leak_base[:, None] * (util + (1.0 - util) * 1.0)
-        dyn_c = np.zeros(v.shape)
-        leak_c = np.zeros(v.shape)
-        for c in range(self.n_cores):
-            dyn_c = dyn_c + dyn_terms[:, c]
-            leak_c = leak_c + leak_terms[:, c]
         self.busy += used
         self.idle_arr = used == 0
         self.peak = np.maximum(self.peak, util)
@@ -646,14 +728,9 @@ class _ClusterVec:
         self.energy_prev = (dyn_c + leak_c) * dt
         return dyn_c, leak_c
 
-    def end_episode(
-        self,
-        policies: Sequence[RLPowerManagementPolicy],
-        online: bool,
-        n_steps: int,
-    ) -> None:
+    def end_episode(self, online: bool, n_steps: int) -> None:
         """Materialise per-lane end-of-episode state on the real objects."""
-        for k, p in enumerate(policies):
+        for k, p in enumerate(self.policies):
             p.cumulative_reward = float(self.cum[k])
             p._prev_state = int(self.prev_flat[k] - self.offsets[k])
             p._prev_action = int(self.prev_action[k])
@@ -684,59 +761,69 @@ class _ClusterVec:
 
 
 class _LockstepRunner:
-    """Advances N (chip, policies) lanes through episodes together."""
+    """Advances N lanes of one chip layout through episodes together.
+
+    Args:
+        chips: One chip per lane, all with the same cluster names.
+        vec_for: Builds one cluster's decider (by name) across all lanes.
+        power_models: One per lane (``None`` = the default model).
+        interval_s: The decision interval.
+    """
 
     def __init__(
         self,
         chips: Sequence[Chip],
-        policies_by_lane: Sequence[dict[str, RLPowerManagementPolicy]],
+        vec_for: Callable[[str], _ClusterLanes],
         power_models: Sequence[PowerModel | None],
         interval_s: float,
     ) -> None:
         if interval_s <= 0:
             raise SimulationError(f"interval must be positive: {interval_s}")
-        self.n = len(chips)
         names = chips[0].cluster_names
         if any(chip.cluster_names != names for chip in chips):
             raise SimulationError(
                 "lock-step lanes disagree on cluster names"
             )
         self.chips = list(chips)
-        self.policies_by_lane = list(policies_by_lane)
         self.dt = interval_s
         self.scheduler = HMPScheduler()
         self.cluster_names = names
-        # Pre-bind exactly what the first reset() would build, so the
-        # population tables exist before the first episode.  The objects
-        # are identical to reset()'s (construction consumes no RNG), and
-        # reset() then sees a bound policy and skips its create branch.
-        for chip, policies in zip(self.chips, self.policies_by_lane):
-            for cluster in chip:
-                p = policies[cluster.spec.name]
-                if p.featurizer is None:
-                    p.featurizer = StateFeaturizer(
-                        p.config, len(cluster.spec.opp_table)
-                    )
-                    p.agent = p._make_agent(p.featurizer.n_states)
-        self.vecs = [
-            _ClusterVec(name, self.chips, self.policies_by_lane)
-            for name in names
-        ]
+        self.vecs = [vec_for(name) for name in names]
+        self.observes = any(vec.observes for vec in self.vecs)
         models = [pm or PowerModel() for pm in power_models]
         self.uncore_w = np.array([m.uncore_w for m in models])
         self.idle_activity = np.array(
             [m.dynamic.idle_activity for m in models]
         )
 
+    @classmethod
+    def for_policies(
+        cls,
+        chips: Sequence[Chip],
+        policies_by_lane: Sequence[dict[str, RLPowerManagementPolicy]],
+        power_models: Sequence[PowerModel | None],
+        interval_s: float,
+    ) -> _LockstepRunner:
+        """A runner whose lanes decide with their RL policies; the lanes
+        share one :func:`_structure_key` (every caller groups by it)."""
+        return cls(
+            chips,
+            lambda name: _ClusterVec(name, chips, policies_by_lane),
+            power_models,
+            interval_s,
+        )
+
     def detach(self) -> None:
         for vec in self.vecs:
-            vec.detach()
+            if isinstance(vec, _ClusterVec):
+                vec.detach()
 
     def run_episode(
         self, traces: Sequence[Trace], online: bool
     ) -> list[SimulationResult]:
         """One lock-step episode across all lanes; one result per lane."""
         dt = self.dt
+        n = len(self.chips)
         steps = [max(1, math.ceil(tr.duration_s / dt)) for tr in traces]
         n_steps = steps[0]
         if any(s != n_steps for s in steps):
@@ -744,30 +831,19 @@ class _LockstepRunner:
                 "lock-step lanes disagree on step count: "
                 f"{sorted(set(steps))}"
             )
-
-        # Real per-lane resets — episode counters, TD windows, reward
-        # normalisation, featurizer clears — the serial run()'s preamble.
-        for chip, policies in zip(self.chips, self.policies_by_lane):
-            chip.reset()
-            for cluster in chip:
-                policies[cluster.spec.name].reset(cluster)
         for vec in self.vecs:
-            vec.begin_episode(
-                [lane[vec.name] for lane in self.policies_by_lane],
-                online, n_steps,
-            )
+            vec.begin_episode(online, n_steps)
 
         edges = np.array([step * dt + dt for step in range(n_steps)])
         lanes = [_Lane(tr, edges, self.cluster_names) for tr in traces]
-        dyn_j = np.zeros(self.n)
-        leak_j = np.zeros(self.n)
-        uncore_j = np.zeros(self.n)
-        switches = np.zeros(self.n, dtype=np.int64)
+        switches = np.zeros(n, dtype=np.int64)
+        chip_dyn = np.zeros((n_steps, n))
+        chip_leak = np.zeros((n_steps, n))
 
         for step in range(n_steps):
             t0 = step * dt
             t1 = t0 + dt
-            # 1. Decisions per cluster in chip order (decide + update).
+            # 1. Decisions per cluster in chip order.
             for vec in self.vecs:
                 vec.decide(step, online, switches)
             # 3. Release arrivals and place them (sequential per lane;
@@ -794,40 +870,54 @@ class _LockstepRunner:
                     lane.unit_idx += 1
             # 4+5. Drain and abandon per cluster.
             for vec in self.vecs:
-                vec.drain(lanes, t0, t1, dt)
-            # 6. Power and energy, all lanes at once: clusters accumulate
-            # in chip order, intervals integrate sequentially.
-            chip_dyn = np.zeros(self.n)
-            chip_leak = np.zeros(self.n)
+                vec.drain(lanes, step, t0, t1, dt)
+            # 6. Power, all lanes at once, clusters in chip order; the
+            # observation fields the next decide() reads are stored by
+            # drain() and power().
+            if self.observes:
+                for vec in self.vecs:
+                    dyn_c, leak_c = vec.power(step, dt, self.idle_activity)
+                    chip_dyn[step] += dyn_c
+                    chip_leak[step] += leak_c
+        if not self.observes:
             for vec in self.vecs:
-                dyn_c, leak_c = vec.power(dt, self.idle_activity)
-                chip_dyn = chip_dyn + dyn_c
-                chip_leak = chip_leak + leak_c
-            dyn_j += chip_dyn * dt
-            leak_j += chip_leak * dt
-            uncore_j += self.uncore_w * dt
-            # 7. The observation fields the next decide() consumes were
-            # stored by drain() and power() above.
+                _, _, dyn_c, leak_c = vec.price(
+                    vec.cursor_log, dt, self.idle_activity
+                )
+                chip_dyn += dyn_c
+                chip_leak += leak_c
 
         for vec in self.vecs:
-            vec.end_episode(
-                [lane[vec.name] for lane in self.policies_by_lane],
-                online, n_steps,
-            )
+            vec.end_episode(online, n_steps)
+
+        # Energy: the meter adds one interval product at a time.
+        # ``np.add.accumulate`` adds the rows in interval order, one
+        # after another (``np.sum``'s pairwise order would round
+        # differently).
+        def integrate(watts: np.ndarray) -> np.ndarray:
+            return np.add.accumulate(watts * dt, axis=0)[-1]
+
+        dyn_j = integrate(chip_dyn)
+        leak_j = integrate(chip_leak)
+        uncore_j = integrate(np.broadcast_to(self.uncore_w, (n_steps, n)))
 
         results: list[SimulationResult] = []
-        for k, (lane, policies, trace) in enumerate(
-            zip(lanes, self.policies_by_lane, traces)
-        ):
+        for k, (lane, trace) in enumerate(zip(lanes, traces)):
             # Units the horizon never released count as dropped work.
             for leftover in lane.units[lane.unit_idx:]:
                 lane.all_jobs.append(Job(leftover))
-            qos = evaluate_jobs(lane.all_jobs, grace_factor=_GRACE_FACTOR)
+            if self.observes:
+                # RL lanes report completion times as np.float64: the
+                # pinned perfbench ``batch_population`` digest hashes the
+                # repr of the QoS fields derived from them.  The values
+                # equal the serial engine's Python floats.
+                for job in lane.all_jobs:
+                    if job.completed_at_s is not None:
+                        job.completed_at_s = np.float64(job.completed_at_s)
+            qos = evaluate_jobs(lane.all_jobs, DEFAULT_GRACE_FACTOR)
             total_j = float(dyn_j[k]) + float(leak_j[k]) + float(uncore_j[k])
             results.append(SimulationResult(
-                governor="+".join(
-                    sorted({p.name for p in policies.values()})
-                ),
+                governor="+".join(sorted({vec.names[k] for vec in self.vecs})),
                 trace_name=trace.name,
                 duration_s=n_steps * dt,
                 total_energy_j=total_j,
@@ -920,7 +1010,7 @@ def _train_group(jobs: Sequence[RLTrainJob]) -> list[TrainingResult]:
         _greedy_snapshot(job.policies) if job.recorder is not None else None
         for job in jobs
     ]
-    runner = _LockstepRunner(
+    runner = _LockstepRunner.for_policies(
         [job.chip for job in jobs],
         [job.policies for job in jobs],
         [job.power_model for job in jobs],
@@ -1016,7 +1106,7 @@ def evaluate_policies_batch(
             }) == 1
         )
         if fast:
-            runner = _LockstepRunner(
+            runner = _LockstepRunner.for_policies(
                 chips, policies_by_lane, models, interval_s
             )
             try:

@@ -14,11 +14,17 @@ from repro.qos.energy_per_qos import (
     energy_per_qos_j,
     improvement_percent,
 )
-from repro.qos.metrics import QoSReport, evaluate_jobs, soft_qos
+from repro.qos.metrics import (
+    DEFAULT_GRACE_FACTOR,
+    QoSReport,
+    evaluate_jobs,
+    soft_qos,
+)
 
 __all__ = [
     "BACKGROUND",
     "BEST_EFFORT",
+    "DEFAULT_GRACE_FACTOR",
     "INTERACTIVE",
     "QoSClass",
     "QoSClassMap",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.qos.metrics import QoSReport, soft_qos
+from repro.qos.metrics import DEFAULT_GRACE_FACTOR, QoSReport, soft_qos
 from repro.workload.task import Job
 
 
@@ -82,7 +82,7 @@ def default_mobile_classes() -> QoSClassMap:
 def evaluate_jobs_weighted(
     jobs: list[Job],
     classes: QoSClassMap,
-    grace_factor: float = 2.0,
+    grace_factor: float = DEFAULT_GRACE_FACTOR,
 ) -> QoSReport:
     """Class-weighted QoS aggregation.
 

@@ -14,6 +14,11 @@ from typing import Iterable
 from repro.errors import ConfigurationError
 from repro.workload.task import Job
 
+DEFAULT_GRACE_FACTOR = 2.0
+"""Lateness window, as a multiple of each unit's nominal slack, after
+which a pending unit is abandoned and a late completion scores zero QoS.
+The default of every engine and scorer that takes a ``grace_factor``."""
+
 
 def soft_qos(lateness_s: float, grace_s: float) -> float:
     """Per-unit QoS as a function of deadline lateness.
@@ -64,7 +69,9 @@ class QoSReport:
             raise ConfigurationError(f"mean QoS out of range: {self.mean_qos}")
 
 
-def evaluate_jobs(jobs: Iterable[Job], grace_factor: float = 2.0) -> QoSReport:
+def evaluate_jobs(
+    jobs: Iterable[Job], grace_factor: float = DEFAULT_GRACE_FACTOR
+) -> QoSReport:
     """Score a collection of jobs.
 
     Args:

@@ -30,7 +30,7 @@ from repro.idle.governor import MenuIdleGovernor
 from repro.mem.dram import DRAMModel
 from repro.power.energy import EnergyMeter
 from repro.power.model import PowerBreakdown, PowerModel
-from repro.qos.metrics import evaluate_jobs
+from repro.qos.metrics import DEFAULT_GRACE_FACTOR, evaluate_jobs
 from repro.sim.result import IntervalSample, SimulationResult
 from repro.sim.scheduler import HMPScheduler, Scheduler
 from repro.sim.telemetry import ClusterObservation, initial_observation
@@ -119,7 +119,7 @@ class Simulator:
         interval_s: float = 0.01,
         thermal: ThermalModel | None = None,
         throttle: ThermalThrottle | None = None,
-        grace_factor: float = 2.0,
+        grace_factor: float = DEFAULT_GRACE_FACTOR,
         record_samples: bool = False,
         record_observations: bool = False,
         idle_governor: MenuIdleGovernor | None = None,

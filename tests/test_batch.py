@@ -9,6 +9,8 @@ float, never ``pytest.approx``.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.batch import (
     BatchEngine,
@@ -185,6 +187,37 @@ class TestTraceSharing:
             assert trace.units is units
             assert list(trace.units) == snapshot
 
+    def test_rl_group_and_fixed_groups_on_shared_traces(self):
+        """One call forms an RL group and fixed-OPP groups of two chips
+        and two durations over the same evaluation traces; every lane
+        matches the serial engine, OPP switches included."""
+        rl = [
+            JobSpec(scenario="gaming", governor="rl-policy", seed=100 + k,
+                    chip="exynos5422", duration_s=0.5, train_episodes=1,
+                    train_base_seed=1000 * (k + 1))
+            for k in range(2)
+        ]
+        fixed = [
+            JobSpec(scenario="gaming", governor=governor, seed=seed,
+                    chip=chip, duration_s=duration)
+            for governor in sorted(TABLE_FREE_GOVERNORS)
+            for seed in (100, 101)
+            for chip, duration in (("exynos5422", 0.5), ("tiny", 0.5),
+                                   ("exynos5422", 0.255))
+        ]
+        specs = rl + fixed
+        assert all(BatchEngine(specs).plan())
+        serial = run_batch(specs, force_serial=True)
+        batch = run_batch(specs)
+        for a, b in zip(serial, batch):
+            assert b == a
+            _assert_bit_identical(a, b)
+        for spec, b in zip(fixed, batch[len(rl):]):
+            # One switch per cluster the fixed index moves off OPP 0.
+            clusters = len(PRESETS[spec.chip]().clusters)
+            expected = 0 if spec.governor == "powersave" else clusters
+            assert b.opp_switches == expected
+
     def test_cache_does_not_outlive_the_call(self, monkeypatch):
         from repro.workload.scenarios import Scenario
 
@@ -203,3 +236,34 @@ class TestTraceSharing:
         assert calls == [100, 101, 100, 101]
         for a, b in zip(first, second):
             _assert_bit_identical(a, b)
+
+
+_FIXED_SPEC = st.builds(
+    JobSpec,
+    scenario=st.sampled_from(sorted(SCENARIOS)),
+    governor=st.sampled_from(sorted(TABLE_FREE_GOVERNORS)),
+    seed=st.integers(min_value=0, max_value=500),
+    chip=st.sampled_from(["exynos5422", "tiny"]),
+    # Few distinct durations, so groups and singletons both form; 0.255
+    # and 0.333 are not multiples of the 10 ms interval.
+    duration_s=st.sampled_from([0.255, 0.333, 0.5, 1.0]),
+)
+
+
+class TestFixedOPPDifferential:
+    """Random mixes of table-free rollouts, grouped however they fall,
+    against the serial engine."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(specs=st.lists(_FIXED_SPEC, min_size=1, max_size=8))
+    def test_run_batch_matches_serial(self, specs):
+        assert all(BatchEngine(specs).plan())
+        serial = run_batch(specs, force_serial=True)
+        batch = run_batch(specs)
+        assert len(batch) == len(serial)
+        for a, b in zip(serial, batch):
+            assert b == a
+            _assert_bit_identical(a, b)
+            # Down to the float types: the fixed lanes report Python
+            # floats, as the serial engine does.
+            assert repr(b.qos) == repr(a.qos)
