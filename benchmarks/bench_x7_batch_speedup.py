@@ -9,18 +9,22 @@ pins the two halves of that promise:
 * every rollout's ``energy_per_qos_j`` matches the serial engine with
   ``==`` (no tolerance), and
 * the batch backend is at least 5x faster wall-clock.
+
+The two are timed in interleaved pairs (``SPEEDUP_PAIRS``, alternating
+which runs first) and the gate reads the median per-pair ratio, so a
+host slowdown during one sample moves one pair, not the verdict.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
+import statistics
 
 from repro.batch import run_batch
 from repro.fleet.spec import JobSpec
 from repro.fleet.worker import simulate_spec
 
-from conftest import EVAL_DURATION_S, write_result
+from conftest import EVAL_DURATION_S, paired_timings, write_result
 
 SCENARIOS = ("gaming", "web_browsing", "video_playback", "idle")
 GOVERNORS = ("performance", "powersave", "userspace")
@@ -40,33 +44,40 @@ def _specs() -> list[JobSpec]:
     return grid[:N_ROLLOUTS]
 
 
-def test_x7_batch_speedup(benchmark):
-    specs = _specs()
-    assert len(specs) == N_ROLLOUTS
-
-    t0 = time.perf_counter()
-    serial = [simulate_spec(spec) for spec in specs]
-    serial_s = time.perf_counter() - t0
-
-    batch = benchmark(lambda: run_batch(specs))
-
-    t0 = time.perf_counter()
-    run_batch(specs)
-    batch_s = time.perf_counter() - t0
-
+def _check(serial, batch) -> None:
     # Bit-identity first: a fast wrong answer is worthless.
-    for spec, a, b in zip(specs, serial, batch):
+    for spec, a, b in zip(_specs(), serial, batch):
         assert b.energy_per_qos_j == a.energy_per_qos_j, spec.job_id
         assert b.total_energy_j == a.total_energy_j, spec.job_id
         assert b.qos == a.qos, spec.job_id
 
-    speedup = serial_s / batch_s if batch_s > 0 else float("inf")
+
+def test_x7_batch_speedup(benchmark):
+    specs = _specs()
+    assert len(specs) == N_ROLLOUTS
+
+    timings = benchmark.pedantic(
+        paired_timings,
+        args=(
+            lambda: [simulate_spec(spec) for spec in specs],
+            lambda: run_batch(specs),
+            _check,
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    serial_s = statistics.median(timings.serial_s)
+    batch_s = statistics.median(timings.batch_s)
+    speedup = timings.speedup
     lines = [
         f"X7: batched rollout backend ({N_ROLLOUTS} table-free rollouts, "
-        f"{EVAL_DURATION_S:.0f} s each)",
+        f"{EVAL_DURATION_S:.0f} s each), median of "
+        f"{len(timings.ratios)} interleaved pairs",
         f"  serial engine : {serial_s:8.3f} s",
         f"  batch backend : {batch_s:8.3f} s  ({speedup:.2f}x)",
-        "  energy_per_qos_j bit-identical on every rollout",
+        "  per-pair ratios: "
+        + ", ".join(f"{r:.2f}x" for r in timings.ratios),
+        "  energy_per_qos_j bit-identical on every rollout of every pair",
     ]
     write_result(
         "x7_batch_speedup",

@@ -11,17 +11,21 @@ pins the two halves of that promise:
 * every rollout's evaluation result matches the serial trainer with
   ``==`` (no tolerance) — energy, QoS report, switch counts — and
 * the lock-step path is at least 5x faster wall-clock.
+
+The two are timed in interleaved pairs (``SPEEDUP_PAIRS``, alternating
+which runs first) and the gate reads the median per-pair ratio, so a
+host slowdown during one sample moves one pair, not the verdict.
 """
 
 from __future__ import annotations
 
-import time
+import statistics
 
 from repro.batch import run_batch
 from repro.fleet.spec import JobSpec
 from repro.fleet.worker import simulate_spec
 
-from conftest import write_result
+from conftest import paired_timings, write_result
 
 N_ROLLOUTS = 32
 TRAIN_EPISODES = 3
@@ -45,21 +49,9 @@ def _specs() -> list[JobSpec]:
     ]
 
 
-def test_x8_rl_batch_speedup(benchmark):
-    specs = _specs()
-
-    t0 = time.perf_counter()
-    serial = [simulate_spec(spec) for spec in specs]
-    serial_s = time.perf_counter() - t0
-
-    batch = benchmark(lambda: run_batch(specs))
-
-    t0 = time.perf_counter()
-    run_batch(specs)
-    batch_s = time.perf_counter() - t0
-
+def _check(serial, batch) -> None:
     # Bit-identity first: a fast wrong answer is worthless.
-    for spec, a, b in zip(specs, serial, batch):
+    for spec, a, b in zip(_specs(), serial, batch):
         assert b.total_energy_j == a.total_energy_j, spec.job_id
         assert b.dynamic_energy_j == a.dynamic_energy_j, spec.job_id
         assert b.leakage_energy_j == a.leakage_energy_j, spec.job_id
@@ -67,14 +59,33 @@ def test_x8_rl_batch_speedup(benchmark):
         assert b.opp_switches == a.opp_switches, spec.job_id
         assert b.energy_per_qos_j == a.energy_per_qos_j, spec.job_id
 
-    speedup = serial_s / batch_s if batch_s > 0 else float("inf")
+
+def test_x8_rl_batch_speedup(benchmark):
+    specs = _specs()
+
+    timings = benchmark.pedantic(
+        paired_timings,
+        args=(
+            lambda: [simulate_spec(spec) for spec in specs],
+            lambda: run_batch(specs),
+            _check,
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    serial_s = statistics.median(timings.serial_s)
+    batch_s = statistics.median(timings.batch_s)
+    speedup = timings.speedup
     lines = [
         f"X8: lock-step RL training ({N_ROLLOUTS} rollouts, "
         f"{TRAIN_EPISODES} episodes x {EPISODE_S:.0f} s + "
-        f"{EVAL_S:.0f} s greedy eval each)",
+        f"{EVAL_S:.0f} s greedy eval each), median of "
+        f"{len(timings.ratios)} interleaved pairs",
         f"  serial trainer : {serial_s:8.3f} s",
         f"  lock-step batch: {batch_s:8.3f} s  ({speedup:.2f}x)",
-        "  training + evaluation bit-identical on every rollout",
+        "  per-pair ratios: "
+        + ", ".join(f"{r:.2f}x" for r in timings.ratios),
+        "  training + evaluation bit-identical on every rollout of every pair",
     ]
     write_result(
         "x8_rl_batch_speedup",

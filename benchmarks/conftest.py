@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
+import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import pytest
 
@@ -27,6 +31,9 @@ from repro.perf import LEDGER_ENV_VAR, new_run_id, record_run
 from repro.workload.scenarios import EVALUATION_SET
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# Interleaved serial/batch pairs per speedup bench run.
+SPEEDUP_PAIRS = 5
 
 # One knob for total bench runtime: evaluation trace length and RL
 # training budget used by the sweep-based benches.
@@ -102,3 +109,61 @@ def full_sweep(headline_fleet: FleetResult) -> SweepResult:
 def fleet_footer(fleet: FleetResult) -> str:
     """The execution-summary lines benches append to their tables."""
     return "fleet execution (shared E1/E2/E3 sweep):\n" + fleet_summary(fleet)
+
+
+@dataclass(frozen=True)
+class PairedTimings:
+    """Wall-clock seconds of interleaved serial/batch pairs.
+
+    Attributes:
+        serial_s: Serial-path time of each pair, in pair order.
+        batch_s: Batch-path time of each pair, in pair order.
+    """
+
+    serial_s: tuple[float, ...]
+    batch_s: tuple[float, ...]
+
+    @property
+    def ratios(self) -> tuple[float, ...]:
+        """Serial over batch time, per pair."""
+        return tuple(s / b for s, b in zip(self.serial_s, self.batch_s))
+
+    @property
+    def speedup(self) -> float:
+        """The median per-pair ratio: a slow host phase lengthens both
+        halves of the pair it falls in, and the median drops the pair
+        where it hit only one."""
+        return statistics.median(self.ratios)
+
+
+def paired_timings(
+    serial: Callable[[], Any],
+    batch: Callable[[], Any],
+    check: Callable[[Any, Any], None],
+) -> PairedTimings:
+    """Time ``serial()`` against ``batch()`` in ``SPEEDUP_PAIRS``
+    back-to-back pairs.
+
+    Which side runs first alternates from pair to pair, and
+    ``check(serial_result, batch_result)`` runs on every pair, so each
+    timed batch run is also a verified one.
+    """
+    serial_s: list[float] = []
+    batch_s: list[float] = []
+    for k in range(SPEEDUP_PAIRS):
+        if k % 2 == 0:
+            serial_out, serial_t = _timed(serial)
+            batch_out, batch_t = _timed(batch)
+        else:
+            batch_out, batch_t = _timed(batch)
+            serial_out, serial_t = _timed(serial)
+        check(serial_out, batch_out)
+        serial_s.append(serial_t)
+        batch_s.append(batch_t)
+    return PairedTimings(serial_s=tuple(serial_s), batch_s=tuple(batch_s))
+
+
+def _timed(fn: Callable[[], Any]) -> tuple[Any, float]:
+    t0 = time.perf_counter()
+    out = fn()
+    return out, time.perf_counter() - t0

@@ -83,6 +83,7 @@ from repro.core.trainer import (
     _policy_churn,
     _record_episode,
     evaluate_policy,
+    frozen_policies,
     make_policies,
     train_policy,
 )
@@ -1083,8 +1084,6 @@ def evaluate_policies_batch(
             f"power model per chip: {len(policies_by_lane)} policies/"
             f"{len(traces)} traces/{len(models)} models for {n} chips"
         )
-    from repro.fleet.worker import frozen_policies
-
     with ExitStack() as stack:
         for policies in policies_by_lane:
             stack.enter_context(frozen_policies(policies))

@@ -31,10 +31,12 @@ Subcommands:
   reference ledger, and ``perf gate`` is the CI regression gate
   (see the "Performance ledger" section of ``docs/observability.md``).
 
-``run --governor checkpoint:<dir>`` evaluates a saved policy checkpoint
-instead of a named governor; the same spelling works in ``fleet
---governors``.  ``compare``/``report``/``fleet`` accept ``--jobs N``
-(0 = CPU count) to fan simulation jobs out over worker processes.
+``run``/``trace --governor`` take the fleet's governor spelling: a
+governor name, ``rl-policy`` (train on the scenario, then evaluate
+greedily) or ``checkpoint:<dir>`` (evaluate a saved policy checkpoint);
+the same spelling works in ``fleet --governors``.
+``compare``/``report``/``fleet`` accept ``--jobs N`` (0 = CPU count) to
+fan simulation jobs out over worker processes.
 
 Every subcommand takes ``--log-level debug|info|warning|error``
 (stderr diagnostics through the ``repro`` logger hierarchy), and
@@ -54,9 +56,9 @@ import sys
 import time
 from contextlib import contextmanager
 
-from repro.analysis.sweep import run_baseline, sweep
+from repro.analysis.sweep import sweep
 from repro.analysis.tables import format_table
-from repro.core.checkpoint import load_policies, save_policies
+from repro.core.checkpoint import save_policies
 from repro.core.trainer import train_policy
 from repro.errors import ReproError
 from repro.governors import available, create
@@ -196,8 +198,10 @@ def _resolve_chip(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.fleet.spec import JobSpec
+    from repro.fleet.worker import simulate_spec
+
     chip = _resolve_chip(args)
-    scenario = get_scenario(args.scenario)
     log.info(
         "run: chip=%s scenario=%s governor=%s duration=%.1fs seed=%d",
         args.chip_file or args.chip, args.scenario, args.governor,
@@ -206,17 +210,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with _obs_session(
         args.trace, args.metrics, force=_ledger_requested(args)
     ) as session:
-        if args.governor.startswith("checkpoint:"):
-            policies = load_policies(
-                args.governor.removeprefix("checkpoint:"), chip=chip
-            )
-            trace = scenario.trace(args.duration, seed=args.seed)
-            result = Simulator(chip, trace, policies).run()
-        else:
-            result = run_baseline(
-                chip, scenario, args.governor,
-                duration_s=args.duration, seed=args.seed,
-            )
+        result = simulate_spec(JobSpec(
+            scenario=args.scenario, governor=args.governor, seed=args.seed,
+            chip=chip.name, duration_s=args.duration, chip_obj=chip,
+        ))
     log.info("run finished: energy=%.3f J mean_qos=%.3f",
              result.total_energy_j, result.qos.mean_qos)
     print(result.summary())
@@ -586,7 +583,8 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.core.trainer import evaluate_policy
+    from repro.fleet.spec import JobSpec
+    from repro.fleet.worker import simulate_spec
 
     if args.merge:
         merged = obs.merge_trace_files(args.merge, out=args.out)
@@ -602,35 +600,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         raise ReproError("a scenario is required unless --merge is given")
 
     chip = _resolve_chip(args)
-    scenario = get_scenario(args.scenario)
     log.info(
         "trace: scenario=%s governor=%s duration=%.1fs -> %s",
         args.scenario, args.governor, args.duration, args.out,
     )
     with obs.capture() as session:
-        if args.governor == "rl-policy":
-            training = train_policy(
-                chip,
-                scenario,
-                episodes=args.episodes,
-                episode_duration_s=args.duration,
-            )
-            result = evaluate_policy(
-                chip, training.policies,
-                scenario.trace(args.duration, seed=args.seed),
-            )
-        elif args.governor.startswith("checkpoint:"):
-            policies = load_policies(
-                args.governor.removeprefix("checkpoint:"), chip=chip
-            )
-            result = evaluate_policy(
-                chip, policies, scenario.trace(args.duration, seed=args.seed)
-            )
-        else:
-            result = run_baseline(
-                chip, scenario, args.governor,
-                duration_s=args.duration, seed=args.seed,
-            )
+        result = simulate_spec(JobSpec(
+            scenario=args.scenario, governor=args.governor, seed=args.seed,
+            chip=chip.name, duration_s=args.duration,
+            train_episodes=args.episodes, chip_obj=chip,
+        ))
     tracer = session.tracer
     if args.format == "chrome":
         obs.write_chrome_trace(args.out, tracer, session.metrics)

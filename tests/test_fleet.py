@@ -39,6 +39,7 @@ from repro.fleet import (
     split_by_seed,
     to_sweep_result,
 )
+from repro.soc.devicetree import chip_from_dict, chip_to_dict
 from repro.soc.presets import tiny_test_chip
 
 # Small, fast grid settings shared by the execution tests.
@@ -404,6 +405,26 @@ class TestDeterminism:
             **FAST,
         ).rows
         assert rows == serial
+
+    def test_custom_chip_named_like_a_preset_is_not_replaced(self):
+        # A device tree may reuse a preset's name; every job must simulate
+        # the chip the sweep was given, not rebuild the preset.
+        data = chip_to_dict(tiny_test_chip())
+        data["clusters"][0]["opps"] = data["clusters"][0]["opps"][:2]
+        custom = chip_from_dict(data)
+        assert custom.name == "tiny"
+        kwargs = dict(
+            scenario_names=["audio_playback"],
+            governor_names=["ondemand", "performance"],
+            include_rl=False,
+            eval_seed=1,
+            **FAST,
+        )
+        serial = sweep(custom, jobs=1, **kwargs).rows
+        parallel = sweep(custom, jobs=2, **kwargs).rows
+        preset = sweep(tiny_test_chip(), jobs=1, **kwargs).rows
+        assert serial == parallel
+        assert serial != preset
 
 
 class TestAggregation:

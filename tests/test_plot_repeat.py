@@ -3,8 +3,9 @@
 import pytest
 
 from repro.analysis.plot import histogram, line_chart, sparkline
-from repro.analysis.repeat import RepeatedMeasure, repeat_over_seeds
+from repro.analysis.repeat import RepeatedMeasure, repeat_jobs_over_seeds
 from repro.errors import ReproError
+from repro.fleet.spec import JobSpec
 
 
 class TestSparkline:
@@ -97,13 +98,9 @@ class TestRepeatedMeasure:
         with pytest.raises(ReproError):
             RepeatedMeasure(values=(1.0,), confidence=0.5)
 
-    def test_repeat_over_seeds(self):
-        m = repeat_over_seeds(lambda seed: float(seed * 2), seeds=[1, 2, 3])
-        assert m.values == (2.0, 4.0, 6.0)
-
     def test_repeat_requires_seeds(self):
         with pytest.raises(ReproError):
-            repeat_over_seeds(lambda s: 0.0, seeds=[])
+            repeat_jobs_over_seeds(JobSpec("idle", "ondemand"), seeds=[])
 
     def test_str(self):
         s = str(RepeatedMeasure(values=(1.0, 2.0)))
